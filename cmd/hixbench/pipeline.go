@@ -12,20 +12,19 @@ import (
 	"repro/internal/hixrt"
 	"repro/internal/machine"
 	"repro/internal/netserve"
-	"repro/internal/wire"
 	"repro/internal/workloads"
 )
 
-// pipeline: the wire v2 pipelined transport measured against lock-step.
-// Two parts:
+// pipeline: the pipelined wire transport measured against lock-step
+// (the same transport at a window of 1). Two parts:
 //
 //   - Identity: the same operation sequence, driven through one session
-//     at in-flight depth 8, depth 1, and over forced wire v1, on
-//     machines booted from one seed, must leave a byte-identical
+//     at in-flight depth 8 and depth 1, on machines booted from one
+//     seed, must leave a byte-identical
 //     ciphertext stream through the shared segment and an identical
 //     timeline fingerprint. Pipelining overlaps wire transfer and
 //     queueing with execution — never the execution itself — so the
-//     HIX protocol must not be able to tell the transports apart.
+//     HIX protocol must not be able to tell the windows apart.
 //   - Sweep: a latency-bound workload (small chunked HtoD + launch +
 //     DtoH per round) over in-flight depth {1,2,4,8} × connections
 //     {1,4}, reporting host wall-clock throughput. The acceptance gate
@@ -43,9 +42,9 @@ const (
 
 // plIdentityRun drives one deterministic session — a functional matrix
 // add plus a chunked transfer burst through the Start API — at the
-// given in-flight depth (maxV forces the wire version) and returns the
-// timeline fingerprint and ciphertext digest.
-func plIdentityRun(depth int, maxV uint16) (uint64, string, error) {
+// given in-flight depth and returns the timeline fingerprint and
+// ciphertext digest.
+func plIdentityRun(depth int) (uint64, string, error) {
 	m, err := nsMachine(plSeed)
 	if err != nil {
 		return 0, "", err
@@ -69,10 +68,7 @@ func plIdentityRun(depth int, maxV uint16) (uint64, string, error) {
 		defer cancel()
 		_ = srv.Shutdown(ctx)
 	}()
-	s, err := hixrt.DialConfig(addr.String(), hixrt.RemoteConfig{
-		MaxWireVersion: maxV,
-		MaxInFlight:    depth,
-	})
+	s, err := hixrt.DialConfig(addr.String(), hixrt.RemoteConfig{MaxInFlight: depth})
 	if err != nil {
 		return 0, "", err
 	}
@@ -221,50 +217,35 @@ func plSweepRun(conns, depth int) (time.Duration, error) {
 }
 
 func pipelineExp() bool {
-	fmt.Println("== Extension: wire v2 pipelined transport (tagged frames, windowed streaming) ==")
-	fmt.Printf("identity gate: %dx%d matrix add + pipelined burst, depth 8 vs depth 1 vs forced v1\n",
+	fmt.Println("== Extension: pipelined wire transport (tagged frames, windowed streaming) ==")
+	fmt.Printf("identity gate: %dx%d matrix add + pipelined burst, depth 8 vs depth 1 (lock-step)\n",
 		plMatrixN, plMatrixN)
-	type idRun struct {
-		name  string
-		depth int
-		maxV  uint16
+	fp8, ct8, err := plIdentityRun(8)
+	if err != nil {
+		return fail(fmt.Errorf("pipeline identity (depth=8): %w", err))
 	}
-	runs := []idRun{
-		{"v2/depth=8", 8, wire.Version2},
-		{"v2/depth=1", 1, wire.Version2},
-		{"v1/lock-step", 1, wire.Version1},
+	fp1, ct1, err := plIdentityRun(1)
+	if err != nil {
+		return fail(fmt.Errorf("pipeline identity (depth=1): %w", err))
 	}
-	var fps []uint64
-	var ciphers []string
-	for _, r := range runs {
-		fp, cipher, err := plIdentityRun(r.depth, r.maxV)
-		if err != nil {
-			return fail(fmt.Errorf("pipeline identity (%s): %w", r.name, err))
-		}
-		fmt.Printf("  %-14s fingerprint %016x ciphertext %s…\n", r.name, fp, cipher[:12])
-		fps = append(fps, fp)
-		ciphers = append(ciphers, cipher)
-	}
-	fpOK := fps[0] == fps[1] && fps[1] == fps[2]
-	ctOK := ciphers[0] == ciphers[1] && ciphers[1] == ciphers[2]
+	fmt.Printf("  depth=8  fingerprint %016x ciphertext %s\n", fp8, ct8)
+	fmt.Printf("  depth=1  fingerprint %016x ciphertext %s\n", fp1, ct1)
 	record(map[string]any{
 		"name":               "pipeline/identity",
-		"fingerprint_depth8": fmt.Sprintf("%016x", fps[0]),
-		"fingerprint_depth1": fmt.Sprintf("%016x", fps[1]),
-		"fingerprint_v1":     fmt.Sprintf("%016x", fps[2]),
-		"ciphertext_depth8":  ciphers[0],
-		"ciphertext_depth1":  ciphers[1],
-		"ciphertext_v1":      ciphers[2],
-		"fingerprint_equal":  fpOK,
-		"ciphertext_equal":   ctOK,
+		"fingerprint_depth8": fmt.Sprintf("%016x", fp8),
+		"fingerprint_depth1": fmt.Sprintf("%016x", fp1),
+		"ciphertext_depth8":  ct8,
+		"ciphertext_depth1":  ct1,
+		"fingerprint_equal":  fp8 == fp1,
+		"ciphertext_equal":   ct8 == ct1,
 	})
-	if !fpOK {
-		return fail(fmt.Errorf("pipeline: timeline diverged across transports"))
+	if fp8 != fp1 {
+		return fail(fmt.Errorf("pipeline: timeline diverged across windows"))
 	}
-	if !ctOK {
-		return fail(fmt.Errorf("pipeline: ciphertext stream diverged across transports"))
+	if ct8 != ct1 {
+		return fail(fmt.Errorf("pipeline: ciphertext stream diverged across windows"))
 	}
-	fmt.Println("  pipelined, serialized, and lock-step runs are ciphertext- and schedule-identical")
+	fmt.Println("  pipelined and lock-step runs are ciphertext- and schedule-identical")
 
 	fmt.Printf("sweep: %d rounds x (HtoD %dB + launch + DtoH %dB) per connection, GOMAXPROCS=%d\n",
 		plRounds, plBytes, plBytes, runtime.GOMAXPROCS(0))

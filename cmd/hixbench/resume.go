@@ -10,7 +10,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/hixrt"
 	"repro/internal/netserve"
-	"repro/internal/wire"
 	"repro/internal/workloads"
 )
 
@@ -28,7 +27,7 @@ import (
 //     path skips every 2048-bit modexp, so the gate demands >= 3x at
 //     the median.
 //   - Reconnect storm: the PR 9 churn scenario run twice — tickets on
-//     vs capped at wire v2 (every redial pays the full handshake) —
+//     vs revoked (every redial pays the full handshake) —
 //     comparing per-request tail latency under the same seeded drop
 //     schedule.
 const (
@@ -259,12 +258,13 @@ type stormResult struct {
 }
 
 // resumeStormRun is one churn storm (the PR 9 scenario) with redials
-// either resuming via tickets (maxWire=0, i.e. v3) or paying the full
-// handshake every time (maxWire=2). The storm body is DtoH reads —
+// either resuming via tickets or paying the full handshake every time
+// (every tenant's tickets revoked after set-up, so each redial's ticket
+// is refused and falls back). The storm body is DtoH reads —
 // not journaled — so a rebuilt session replays a two-op journal and
 // the redial cost is the handshake itself, which is exactly what the
 // two runs differ in. The seeded drop schedule is identical both ways.
-func resumeStormRun(maxWire uint16, sessions, n int, rate float64) (stormResult, error) {
+func resumeStormRun(tickets bool, sessions, n int, rate float64) (stormResult, error) {
 	// Scattered drops (seeded probability, not a consecutive budget):
 	// each affected request absorbs exactly one rebuild, so the gate
 	// sums six independent rebuild costs instead of one maximally noisy
@@ -305,10 +305,7 @@ func resumeStormRun(maxWire uint16, sessions, n int, rate float64) (stormResult,
 		rs, err := hixrt.DialReconnecting(addr, hixrt.ReconnectConfig{
 			JitterSeed: fmt.Sprintf("resume-storm-%d", i),
 			Sleep:      func(time.Duration) {},
-			Remote: hixrt.RemoteConfig{
-				Measurement:    loadTenant(i),
-				MaxWireVersion: maxWire,
-			},
+			Remote:     hixrt.RemoteConfig{Measurement: loadTenant(i)},
 		})
 		if err != nil {
 			return stormResult{}, err
@@ -322,6 +319,9 @@ func resumeStormRun(maxWire uint16, sessions, n int, rate float64) (stormResult,
 			return stormResult{}, err
 		}
 		rss, bufs = append(rss, rs), append(bufs, p)
+		if !tickets {
+			srv.RevokeTicketMeasurement(loadTenant(i))
+		}
 	}
 	schedArr := hixrt.LoadSchedule(hixrt.LoadConfig{
 		Rate: rate, Requests: n,
@@ -370,11 +370,11 @@ func resumeStorm() bool {
 		n = 120
 	}
 	const rate = 4000 // sequential issue: rate only shapes the seeded schedule
-	full, err := resumeStormRun(wire.Version2, sessions, n, rate)
+	full, err := resumeStormRun(false, sessions, n, rate)
 	if err != nil {
 		return fail(fmt.Errorf("resume storm (full DH): %w", err))
 	}
-	tkt, err := resumeStormRun(0, sessions, n, rate)
+	tkt, err := resumeStormRun(true, sessions, n, rate)
 	if err != nil {
 		return fail(fmt.Errorf("resume storm (tickets): %w", err))
 	}

@@ -48,8 +48,7 @@ func main() {
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown drain budget")
 		seed         = flag.String("seed", "", "platform seed for a deterministic machine (empty = random)")
 		quiet        = flag.Bool("quiet", false, "suppress per-connection diagnostics")
-		maxInFlight  = flag.Int("max-inflight", 0, "per-connection pipelining window advertised to v2 clients (0 = default)")
-		maxWireVer   = flag.Uint("max-wire-version", 0, "cap the negotiated wire version (0 = newest; 1 forces lock-step)")
+		maxInFlight  = flag.Int("max-inflight", 0, "per-connection pipelining window advertised to clients (0 = default; 1 = lock-step)")
 		pprofAddr    = flag.String("pprof", "", "serve net/http/pprof and expvar on this address (e.g. 127.0.0.1:6060; empty = disabled)")
 		schedOn      = flag.Bool("sched", false, "enable the cross-connection continuous-batching scheduler")
 		schedQuantum = flag.Int("sched-quantum", 0, "fair-share quantum in epoch cost units per weight point per round (0 = default)")
@@ -84,7 +83,6 @@ func main() {
 		ReadTimeout:       *readTimeout,
 		WriteTimeout:      *writeTimeout,
 		MaxInFlight:       *maxInFlight,
-		MaxWireVersion:    uint16(*maxWireVer),
 		Sched:             *schedOn,
 		SchedQuantum:      *schedQuantum,
 		SchedMaxBatchCost: *schedBatch,

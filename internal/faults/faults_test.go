@@ -160,7 +160,7 @@ func TestWrapConnCorruptionIsTyped(t *testing.T) {
 			for j := range body {
 				body[j] = byte(i)
 			}
-			if err := wire.WriteFrame(wc, wire.OpData, body); err != nil {
+			if err := wire.WriteFrame(wc, wire.OpTData, body); err != nil {
 				done <- err
 				return
 			}
@@ -184,7 +184,7 @@ func TestWrapConnCorruptionIsTyped(t *testing.T) {
 			}
 			continue
 		}
-		if op != wire.OpData {
+		if op != wire.OpTData {
 			t.Fatalf("frame %d: op=%d", i, op)
 		}
 		for _, b := range body {
@@ -286,7 +286,7 @@ func TestWrapConnDeterministicStreams(t *testing.T) {
 			// 30 frames of 10-byte bodies, written in varying chunks.
 			var stream []byte
 			for i := 0; i < 30; i++ {
-				stream = append(stream, 10, 0, 0, 0, byte(wire.OpData))
+				stream = append(stream, 10, 0, 0, 0, byte(wire.OpTData))
 				stream = append(stream, make([]byte, 10)...)
 			}
 			for len(stream) > 0 {

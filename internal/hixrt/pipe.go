@@ -11,8 +11,8 @@ import (
 	"repro/internal/wire"
 )
 
-// The v2 async core of a RemoteSession. With wire protocol v2 a
-// connection keeps up to MaxInFlight tagged requests outstanding:
+// The async core of a RemoteSession. A connection keeps up to
+// MaxInFlight tagged requests outstanding:
 // submissions are registered in an in-flight table keyed by tag and
 // handed to a writer goroutine, while a reader goroutine routes tagged
 // responses (and their DtoH payload chunks) back to their calls in
@@ -24,7 +24,7 @@ import (
 // submission order (pipelining overlaps wire transfer and queueing
 // with execution, not the execution itself), so a session observes
 // exactly the lock-step op sequence and the ciphertext stream is
-// byte-identical to v1 — the PR 3 identity invariant.
+// byte-identical at every window — the PR 3 identity invariant.
 
 // ErrUnknownTag reports a tagged reply whose tag matches no in-flight
 // request: the stream can no longer be trusted to be aligned with the
@@ -89,9 +89,8 @@ func (p *pipe) deadErr() error {
 	return wrapDead(p.dead)
 }
 
-// wrapDead types a terminal pipe failure the way the lock-step path
-// types its failures: a server-initiated drain stays plain
-// ErrServerClosed, everything else is ErrBroken-wrapped.
+// wrapDead types a terminal pipe failure: a server-initiated drain
+// stays plain ErrServerClosed, everything else is ErrBroken-wrapped.
 func wrapDead(err error) error {
 	if err == nil {
 		return fmt.Errorf("%w: pipe closed", ErrBroken)
@@ -208,10 +207,7 @@ func (p *pipe) readLoop() {
 			p.fail(fmt.Errorf("hixrt: pipelined read: %w", err))
 			return
 		}
-		var body []byte
-		if buf != nil {
-			body = buf.Bytes()
-		}
+		body := buf.Bytes()
 		switch op {
 		case wire.OpTResponse:
 			tag, payload, terr := wire.SplitTag(body)
@@ -287,7 +283,11 @@ func (p *pipe) deliverResp(tag uint32, resp hix.Response) error {
 }
 
 // deliverData copies one tagged DtoH chunk into its call's out buffer
-// under the exact-framing contract (same as the v1 readPayload).
+// under the exact-framing contract: each frame must carry exactly
+// min(MaxData, remaining) bytes, mirroring how the server chunks a DtoH
+// payload. Anything else (an over-send, a short non-final frame) would
+// misalign every later reply, so it is ErrDesync and the session is
+// torn down.
 func (p *pipe) deliverData(tag uint32, payload []byte) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -368,28 +368,20 @@ func (p *pipe) fail(err error) {
 // method. Wait blocks until the server's reply arrives and maps the
 // status exactly like the corresponding blocking method.
 type Pending struct {
-	p        *pipe
-	c        *call
-	typ      hix.ReqType  // hix request type, drives status mapping
-	resp     hix.Response // resolved result when c == nil
-	err      error        // immediate failure (submit error or v1 fallback)
-	resolved bool         // resp is already valid (v1 fallback path)
+	p   *pipe
+	c   *call       // nil for a zero-length no-op or a failed submit
+	typ hix.ReqType // hix request type, drives status mapping
+	err error       // submit failure
 }
 
 // Wait blocks until the operation completes.
 func (pd *Pending) Wait() error {
-	resp := pd.resp
-	switch {
-	case pd.c != nil:
-		r, err := pd.p.wait(pd.c)
-		if err != nil {
-			return err
-		}
-		resp = r
-	case pd.err != nil:
+	if pd.c == nil {
 		return pd.err
-	case !pd.resolved:
-		return nil // zero-length no-op
+	}
+	resp, err := pd.p.wait(pd.c)
+	if err != nil {
+		return err
 	}
 	switch resp.Status {
 	case hix.RespOK:
@@ -407,29 +399,10 @@ func (pd *Pending) Wait() error {
 	}
 }
 
-// start submits an async exchange, degrading to a blocking exchange on
-// a v1 (lock-step) session so callers need not care which version was
-// negotiated.
+// start submits an async exchange.
 func (s *RemoteSession) start(req hix.Request, payload, out []byte) *Pending {
-	pd := &Pending{typ: req.Type}
-	if s.pipe == nil {
-		resp, err := s.exchange(req, payload, out)
-		if err != nil {
-			pd.err = err
-		} else {
-			pd.resp = resp
-			pd.resolved = true
-		}
-		return pd
-	}
 	c, err := s.pipe.submit(req, payload, out)
-	if err != nil {
-		pd.err = err
-		return pd
-	}
-	pd.p = s.pipe
-	pd.c = c
-	return pd
+	return &Pending{p: s.pipe, c: c, typ: req.Type, err: err}
 }
 
 // StartMemcpyHtoD begins a pipelined host-to-device transfer. The

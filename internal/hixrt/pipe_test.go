@@ -1,6 +1,7 @@
 package hixrt
 
 import (
+	"encoding/binary"
 	"errors"
 	"net"
 	"sync"
@@ -12,9 +13,31 @@ import (
 	"repro/internal/wire"
 )
 
-// welcomeClientV2 consumes the Hello and answers a v2 Welcome with the
-// given pipelining bound.
-func welcomeClientV2(t *testing.T, nc net.Conn, maxInFlight uint16) {
+// fakeWireServer accepts one connection and hands it to serve on a
+// goroutine: a minimal in-test peer for exercising the client against
+// protocol misbehavior a real netserve server never produces.
+func fakeWireServer(t *testing.T, serve func(nc net.Conn)) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		nc, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer nc.Close()
+		_ = nc.SetDeadline(time.Now().Add(10 * time.Second))
+		serve(nc)
+	}()
+	return ln.Addr().String()
+}
+
+// welcomeClient consumes the Hello and answers a Welcome declaring the
+// given version and pipelining bound.
+func welcomeClient(t *testing.T, nc net.Conn, version, maxInFlight uint16) {
 	t.Helper()
 	op, _, err := wire.ReadFrame(nc)
 	if err != nil || op != wire.OpHello {
@@ -22,7 +45,7 @@ func welcomeClientV2(t *testing.T, nc net.Conn, maxInFlight uint16) {
 		return
 	}
 	w := wire.Welcome{
-		Version:     wire.Version2,
+		Version:     version,
 		SessionID:   1,
 		SegmentSize: 32 << 20,
 		ChunkSize:   64 << 10,
@@ -51,10 +74,23 @@ func readTagged(t *testing.T, nc net.Conn, want wire.Opcode) (uint32, []byte, bo
 	return tag, rest, true
 }
 
+func writeTagged(nc net.Conn, op wire.Opcode, tag uint32, body []byte) error {
+	return wire.WriteFrame(nc, op, append(binary.LittleEndian.AppendUint32(nil, tag), body...))
+}
+
 func writeTaggedResp(nc net.Conn, tag uint32, resp hix.Response) error {
-	body := append(make([]byte, 0, wire.TagSize+20), byte(tag), byte(tag>>8), byte(tag>>16), byte(tag>>24))
-	body = append(body, resp.Encode()...)
-	return wire.WriteFrame(nc, wire.OpTResponse, body)
+	return writeTagged(nc, wire.OpTResponse, tag, resp.Encode())
+}
+
+// TestDialRejectsOtherVersion: a server answering Welcome with any
+// version but wire.Version is refused at the handshake, typed.
+func TestDialRejectsOtherVersion(t *testing.T) {
+	addr := fakeWireServer(t, func(nc net.Conn) {
+		welcomeClient(t, nc, wire.Version-1, 4)
+	})
+	if _, err := DialConfig(addr, RemoteConfig{DialTimeout: 5 * time.Second}); !errors.Is(err, wire.ErrVersion) {
+		t.Fatalf("dial against a version-%d Welcome: got %v, want wire.ErrVersion", wire.Version-1, err)
+	}
 }
 
 // TestPipeUnknownTagReply: a reply whose tag matches no in-flight
@@ -62,7 +98,7 @@ func writeTaggedResp(nc net.Conn, tag uint32, resp hix.Response) error {
 // ErrUnknownTag.
 func TestPipeUnknownTagReply(t *testing.T) {
 	addr := fakeWireServer(t, func(nc net.Conn) {
-		welcomeClientV2(t, nc, 4)
+		welcomeClient(t, nc, wire.Version, 4)
 		tag, _, ok := readTagged(t, nc, wire.OpTRequest)
 		if !ok {
 			return
@@ -90,7 +126,7 @@ func TestPipeUnknownTagReply(t *testing.T) {
 // is a framing error, surfaced typed.
 func TestPipeTagTruncatedReply(t *testing.T) {
 	addr := fakeWireServer(t, func(nc net.Conn) {
-		welcomeClientV2(t, nc, 4)
+		welcomeClient(t, nc, wire.Version, 4)
 		if _, _, ok := readTagged(t, nc, wire.OpTRequest); !ok {
 			return
 		}
@@ -110,26 +146,40 @@ func TestPipeTagTruncatedReply(t *testing.T) {
 	}
 }
 
-// TestPipeV1FrameOnV2Stream: after negotiating v2, an untagged v1
-// Response on the stream is a protocol violation, not something to
-// silently interpret.
+// TestPipeV1FrameOnV2Stream: an untagged Response of the retired
+// lock-step plane is an unknown opcode now, and a known opcode that has
+// no business on a serving stream is a protocol violation; neither is
+// silently interpreted.
 func TestPipeV1FrameOnV2Stream(t *testing.T) {
-	addr := fakeWireServer(t, func(nc net.Conn) {
-		welcomeClientV2(t, nc, 4)
-		if _, _, ok := readTagged(t, nc, wire.OpTRequest); !ok {
-			return
-		}
-		resp := hix.Response{Status: hix.RespOK}
-		_ = wire.WriteFrame(nc, wire.OpResponse, resp.Encode())
-	})
-	s, err := DialConfig(addr, RemoteConfig{IOTimeout: 5 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	_, err = s.MemAlloc(64)
-	if !errors.Is(err, hix.ErrProtocol) {
-		t.Fatalf("v1 frame on v2 stream surfaced as %v, want ErrProtocol", err)
+	resp := hix.Response{Status: hix.RespOK}
+	retired := append([]byte{byte(len(resp.Encode())), 0, 0, 0, 4}, resp.Encode()...)
+	welcome := []byte{0, 0, 0, 0, byte(wire.OpWelcome)}
+	for _, tc := range []struct {
+		name string
+		raw  []byte
+		want error
+	}{
+		{"retired response opcode", retired, wire.ErrUnknownOpcode},
+		{"welcome mid-stream", welcome, hix.ErrProtocol},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			addr := fakeWireServer(t, func(nc net.Conn) {
+				welcomeClient(t, nc, wire.Version, 4)
+				if _, _, ok := readTagged(t, nc, wire.OpTRequest); !ok {
+					return
+				}
+				_, _ = nc.Write(tc.raw)
+			})
+			s, err := DialConfig(addr, RemoteConfig{IOTimeout: 5 * time.Second})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			_, err = s.MemAlloc(64)
+			if !errors.Is(err, tc.want) || !errors.Is(err, ErrBroken) {
+				t.Fatalf("surfaced as %v, want %v breaking the session", err, tc.want)
+			}
+		})
 	}
 }
 
@@ -137,13 +187,12 @@ func TestPipeV1FrameOnV2Stream(t *testing.T) {
 // their response.
 func TestPipeDataBeforeResponse(t *testing.T) {
 	addr := fakeWireServer(t, func(nc net.Conn) {
-		welcomeClientV2(t, nc, 4)
+		welcomeClient(t, nc, wire.Version, 4)
 		tag, _, ok := readTagged(t, nc, wire.OpTRequest)
 		if !ok {
 			return
 		}
-		body := append([]byte{byte(tag), byte(tag >> 8), byte(tag >> 16), byte(tag >> 24)}, make([]byte, 8)...)
-		_ = wire.WriteFrame(nc, wire.OpTData, body)
+		_ = writeTagged(nc, wire.OpTData, tag, make([]byte, 8))
 	})
 	s, err := DialConfig(addr, RemoteConfig{IOTimeout: 5 * time.Second})
 	if err != nil {
@@ -156,43 +205,11 @@ func TestPipeDataBeforeResponse(t *testing.T) {
 	}
 }
 
-// TestPipeDesyncOverSend is the v1 over-send desync test replayed on
-// the pipelined transport: a Data chunk larger than the exact expected
-// frame is ErrDesync, terminal.
-func TestPipeDesyncOverSend(t *testing.T) {
-	addr := fakeWireServer(t, func(nc net.Conn) {
-		welcomeClientV2(t, nc, 4)
-		tag, _, ok := readTagged(t, nc, wire.OpTRequest)
-		if !ok {
-			return
-		}
-		if err := writeTaggedResp(nc, tag, hix.Response{Status: hix.RespOK}); err != nil {
-			return
-		}
-		// The client asked for 8 bytes; send 16 in one tagged frame.
-		body := append([]byte{byte(tag), byte(tag >> 8), byte(tag >> 16), byte(tag >> 24)}, make([]byte, 16)...)
-		_ = wire.WriteFrame(nc, wire.OpTData, body)
-	})
-	s, err := DialConfig(addr, RemoteConfig{IOTimeout: 5 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	out := make([]byte, 8)
-	err = s.MemcpyDtoH(out, 0x1000, len(out))
-	if !errors.Is(err, ErrDesync) {
-		t.Fatalf("over-send surfaced as %v, want ErrDesync", err)
-	}
-	if _, err := s.MemAlloc(64); !errors.Is(err, ErrBroken) {
-		t.Fatalf("post-desync request: %v, want ErrBroken", err)
-	}
-}
-
 // TestPipeOutOfOrderCompletion: the in-flight table routes replies by
 // tag, so the server may complete requests in any order.
 func TestPipeOutOfOrderCompletion(t *testing.T) {
 	addr := fakeWireServer(t, func(nc net.Conn) {
-		welcomeClientV2(t, nc, 4)
+		welcomeClient(t, nc, wire.Version, 4)
 		t1, _, ok := readTagged(t, nc, wire.OpTRequest)
 		if !ok {
 			return
@@ -236,7 +253,7 @@ func TestPipeOutOfOrderCompletion(t *testing.T) {
 func TestPipeWindowBound(t *testing.T) {
 	release := make(chan struct{})
 	addr := fakeWireServer(t, func(nc net.Conn) {
-		welcomeClientV2(t, nc, 2)
+		welcomeClient(t, nc, wire.Version, 2)
 		var tags []uint32
 		for i := 0; i < 2; i++ {
 			tag, _, ok := readTagged(t, nc, wire.OpTRequest)
@@ -287,7 +304,7 @@ func TestPipeWindowBound(t *testing.T) {
 func TestPipeConcurrentSubmitters(t *testing.T) {
 	const ops = 64
 	addr := fakeWireServer(t, func(nc net.Conn) {
-		welcomeClientV2(t, nc, 8)
+		welcomeClient(t, nc, wire.Version, 8)
 		for i := 0; i < ops; i++ {
 			tag, _, ok := readTagged(t, nc, wire.OpTRequest)
 			if !ok {
@@ -322,35 +339,5 @@ func TestPipeConcurrentSubmitters(t *testing.T) {
 		if err != nil {
 			t.Errorf("goroutine %d: %v", g, err)
 		}
-	}
-}
-
-// TestPipeV1Fallback: a v1 server keeps the client on the lock-step
-// path — no pipe, window of 1, Start* degrade to blocking exchanges.
-func TestPipeV1Fallback(t *testing.T) {
-	addr := fakeWireServer(t, func(nc net.Conn) {
-		welcomeClient(t, nc) // answers Version1
-		op, _, err := wire.ReadFrame(nc)
-		if err != nil || op != wire.OpRequest {
-			t.Errorf("fake server: op=%v err=%v, want untagged request", op, err)
-			return
-		}
-		resp := hix.Response{Status: hix.RespOK, Value: 0x4000}
-		_ = wire.WriteFrame(nc, wire.OpResponse, resp.Encode())
-	})
-	s, err := DialConfig(addr, RemoteConfig{IOTimeout: 5 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if s.Version() != wire.Version1 {
-		t.Fatalf("version %d, want 1", s.Version())
-	}
-	if s.MaxInFlight() != 1 {
-		t.Fatalf("MaxInFlight %d, want 1", s.MaxInFlight())
-	}
-	ptr, err := s.MemAlloc(64)
-	if err != nil || ptr != 0x4000 {
-		t.Fatalf("lock-step alloc: ptr=%#x err=%v", ptr, err)
 	}
 }

@@ -156,7 +156,7 @@ func (r *ReconnectingSession) Resumes() int {
 // failures warrant a rebuild + re-issue, while request-level rejections
 // (bad arguments, unknown kernel) and attestation refusals are the
 // caller's to see. A redial always starts a fresh tag space (the pipe
-// and its in-flight table die with the connection), so v2 tag-routing
+// and its in-flight table die with the connection), so tag-routing
 // failures (ErrUnknownTag) rebuild cleanly like a desync. A data-path auth failure (ErrAuth) IS retried: it
 // models substrate tampering with one transfer, and a fresh session
 // re-issues the whole transfer under fresh keys — persistent tampering

@@ -18,8 +18,8 @@ import (
 
 // Remote sessions: the client half of the network serving layer. Dial
 // connects to a hixserve front-end (internal/netserve), performs the
-// wire handshake (version negotiation + the client's attestation
-// measurement), and returns a RemoteSession with the same
+// wire handshake (the client's attestation measurement and an optional
+// resumption ticket), and returns a RemoteSession with the same
 // MemAlloc/MemcpyHtoD/Launch/MemcpyDtoH/MemFree/Close surface as the
 // in-process Session — existing workloads run unmodified over TCP.
 //
@@ -65,49 +65,39 @@ type RemoteConfig struct {
 	// Faults optionally wraps the dialed connection with a seeded
 	// wire-fault schedule (nil disables injection).
 	Faults *faults.Plane
-	// MaxWireVersion caps the protocol version offered in the
-	// handshake (0 means wire.MaxVersion). Setting it to wire.Version1
-	// forces lock-step exchanges even against a v2 server.
-	MaxWireVersion uint16
 	// MaxInFlight caps this client's pipelining window below the bound
-	// the server advertises in a v2 Welcome (0 means use the server's
-	// bound unchanged). 1 keeps the v2 transport but serializes
-	// requests.
+	// the server advertises in its Welcome (0 means use the server's
+	// bound unchanged). 1 is lock-step: one exchange on the wire at a
+	// time.
 	MaxInFlight int
 	// Ticket, when non-empty, is a resumption ticket from a previous
-	// v3 Welcome: presenting it lets the server re-arm the session with
+	// Welcome: presenting it lets the server re-arm the session with
 	// no attested key exchange. A refused ticket silently falls back to
 	// the full handshake, so a stale ticket costs nothing.
 	Ticket []byte
 }
 
 // RemoteSession is an attested HIX session reached over the wire
-// protocol. Over wire v1 the protocol is strictly one
-// request/response exchange at a time per connection, and a session
-// mutex serializes concurrent callers. Over wire v2 the session runs
-// on a pipelined core (see pipe): blocking methods still submit one
-// exchange and wait, but up to MaxInFlight exchanges from concurrent
-// goroutines — or from the async Start* methods — share the
-// connection with out-of-order completion. Either way a RemoteSession
-// is safe for use from multiple goroutines.
+// protocol. It runs on a pipelined core (see pipe): blocking methods
+// submit one tagged exchange and wait, and up to MaxInFlight exchanges
+// from concurrent goroutines — or from the async Start* methods — share
+// the connection with out-of-order completion; at a window of 1 that is
+// lock-step. A RemoteSession is safe for use from multiple goroutines.
 type RemoteSession struct {
-	mu sync.Mutex // v1: serializes exchanges; v2: guards closed
+	mu sync.Mutex // guards closed
 
 	nc net.Conn
 	br *bufio.Reader
-	bw *bufio.Writer
 
-	sid         uint32
-	version     uint16
-	segSize     uint64
-	chunk       int
-	maxData     int
-	maxInFlight int
-	enclave     attest.Measurement
-	resumed     bool
-	ticket      []byte // fresh resumption ticket from the Welcome, if any
+	sid     uint32
+	segSize uint64
+	chunk   int
+	maxData int
+	enclave attest.Measurement
+	resumed bool
+	ticket  []byte // fresh resumption ticket from the Welcome, if any
 
-	pipe *pipe // v2 async core; nil on a v1 (lock-step) session
+	pipe *pipe
 
 	ioTimeout time.Duration
 
@@ -116,7 +106,6 @@ type RemoteSession struct {
 	lastComplete atomic.Int64
 
 	closed bool
-	broken error // sticky transport failure
 }
 
 // CompleteNS reports the server-side simulated completion instant
@@ -162,44 +151,39 @@ func DialConfig(addr string, cfg RemoteConfig) (*RemoteSession, error) {
 	s := &RemoteSession{
 		nc:        nc,
 		br:        bufio.NewReaderSize(nc, 64<<10),
-		bw:        bufio.NewWriterSize(nc, 64<<10),
 		ioTimeout: cfg.IOTimeout,
 	}
-	if err := s.handshake(cfg); err != nil {
+	window, err := s.handshake(cfg)
+	if err != nil {
 		nc.Close()
 		return nil, err
 	}
-	if s.version >= wire.Version2 {
-		// The dial deadline must not linger into the pipelined phase;
-		// the pipe manages read/write deadlines itself.
-		if err := s.nc.SetDeadline(time.Time{}); err != nil {
-			nc.Close()
-			return nil, err
-		}
-		window := s.maxInFlight
-		if cfg.MaxInFlight > 0 && cfg.MaxInFlight < window {
-			window = cfg.MaxInFlight
-		}
-		s.pipe = newPipe(s, window)
+	// The dial deadline must not linger into the serving phase; the
+	// pipe manages read/write deadlines itself.
+	if err := s.nc.SetDeadline(time.Time{}); err != nil {
+		nc.Close()
+		return nil, err
 	}
+	if cfg.MaxInFlight > 0 && cfg.MaxInFlight < window {
+		window = cfg.MaxInFlight
+	}
+	s.pipe = newPipe(s, window)
 	return s, nil
 }
 
-func (s *RemoteSession) handshake(cfg RemoteConfig) error {
+// handshake exchanges Hello and Welcome and returns the server's bound
+// on in-flight requests.
+func (s *RemoteSession) handshake(cfg RemoteConfig) (int, error) {
 	deadline := time.Now().Add(cfg.DialTimeout)
 	if err := s.nc.SetDeadline(deadline); err != nil {
-		return err
-	}
-	maxV := cfg.MaxWireVersion
-	if maxV == 0 || maxV > wire.MaxVersion {
-		maxV = wire.MaxVersion
+		return 0, err
 	}
 	hello := wire.Hello{
-		MinVersion:  wire.MinVersion,
-		MaxVersion:  maxV,
+		MinVersion:  wire.Version,
+		MaxVersion:  wire.Version,
 		Measurement: cfg.Measurement,
 	}
-	if maxV >= wire.Version3 && len(cfg.Ticket) > 0 {
+	if len(cfg.Ticket) > 0 {
 		hello.Ticket = cfg.Ticket
 		if cfg.Faults.Fire(faults.NetTicket) {
 			// Injected ticket corruption: flip a byte in a copy (never
@@ -211,47 +195,41 @@ func (s *RemoteSession) handshake(cfg RemoteConfig) error {
 			hello.Ticket = tkt
 		}
 	}
-	if err := wire.WriteFrame(s.bw, wire.OpHello, hello.Encode()); err != nil {
-		return err
+	bw := bufio.NewWriter(s.nc)
+	if err := wire.WriteFrame(bw, wire.OpHello, hello.Encode()); err != nil {
+		return 0, err
 	}
-	if err := s.bw.Flush(); err != nil {
-		return err
+	if err := bw.Flush(); err != nil {
+		return 0, err
 	}
 	op, body, err := wire.ReadFrame(s.br)
 	if err != nil {
-		return fmt.Errorf("hixrt: handshake: %w", err)
+		return 0, fmt.Errorf("hixrt: handshake: %w", err)
 	}
 	switch op {
 	case wire.OpWelcome:
 		w, err := wire.DecodeWelcome(body)
 		if err != nil {
-			return fmt.Errorf("hixrt: handshake: %w", err)
+			return 0, fmt.Errorf("hixrt: handshake: %w", err)
 		}
 		s.sid = w.SessionID
-		s.version = w.Version
 		s.segSize = w.SegmentSize
 		s.chunk = int(w.ChunkSize)
 		s.maxData = int(w.MaxData)
-		s.maxInFlight = 1
-		if w.Version >= wire.Version2 {
-			s.maxInFlight = int(w.MaxInFlight)
-		}
 		s.enclave = w.Enclave
 		s.resumed = w.Resumed
-		if len(w.Ticket) > 0 {
-			s.ticket = append([]byte(nil), w.Ticket...)
-		}
-		return nil
+		s.ticket = w.Ticket
+		return int(w.MaxInFlight), nil
 	case wire.OpError:
 		re, err := wire.DecodeError(body)
 		if err != nil {
-			return fmt.Errorf("hixrt: handshake: %w", err)
+			return 0, fmt.Errorf("hixrt: handshake: %w", err)
 		}
-		return fmt.Errorf("hixrt: handshake refused: %w", re)
+		return 0, fmt.Errorf("hixrt: handshake refused: %w", re)
 	case wire.OpGoodbye:
-		return ErrServerClosed
+		return 0, ErrServerClosed
 	default:
-		return fmt.Errorf("hixrt: handshake: %w: unexpected %v", hix.ErrProtocol, op)
+		return 0, fmt.Errorf("hixrt: handshake: %w: unexpected %v", hix.ErrProtocol, op)
 	}
 }
 
@@ -259,18 +237,9 @@ func (s *RemoteSession) handshake(cfg RemoteConfig) error {
 // bridged onto.
 func (s *RemoteSession) SessionID() uint32 { return s.sid }
 
-// Version returns the negotiated wire-protocol version.
-func (s *RemoteSession) Version() uint16 { return s.version }
-
 // MaxInFlight returns the effective pipelining window: the server's
-// negotiated bound capped by RemoteConfig.MaxInFlight. It is 1 on a
-// v1 (lock-step) connection.
-func (s *RemoteSession) MaxInFlight() int {
-	if s.pipe == nil {
-		return 1
-	}
-	return cap(s.pipe.window)
-}
+// bound capped by RemoteConfig.MaxInFlight.
+func (s *RemoteSession) MaxInFlight() int { return cap(s.pipe.window) }
 
 // EnclaveMeasurement returns the GPU enclave's MRENCLAVE as reported in
 // the handshake.
@@ -281,134 +250,20 @@ func (s *RemoteSession) EnclaveMeasurement() attest.Measurement { return s.encla
 func (s *RemoteSession) Resumed() bool { return s.resumed }
 
 // Ticket returns the fresh resumption ticket issued in the Welcome
-// (nil below wire v3). Tickets are single-use: present it on the next
+// (nil if the server could not mint one). Tickets are single-use: present it on the next
 // dial and cache the replacement from that dial's Welcome.
 func (s *RemoteSession) Ticket() []byte { return s.ticket }
 
-// fail marks the transport dead and closes it; the first failure wins.
-// The returned error is always ErrBroken-typed (wrapping the cause),
-// so the very first transport failure is retry-classifiable — not just
-// the sticky errors on later calls.
-func (s *RemoteSession) fail(err error) error {
-	if s.broken == nil {
-		s.broken = err
-		s.closed = true
-		_ = s.nc.Close()
-	}
-	return fmt.Errorf("%w: %w", ErrBroken, err)
-}
-
-// exchange runs one request/response exchange: over v2 through the
-// pipelined core (concurrent exchanges share the connection), over v1
-// serialized onto the single lock-step stream.
+// exchange runs one request/response exchange through the pipelined
+// core; concurrent exchanges share the connection.
 func (s *RemoteSession) exchange(req hix.Request, payload, out []byte) (hix.Response, error) {
-	if s.pipe != nil {
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			return hix.Response{}, ErrClosed
-		}
-		s.mu.Unlock()
-		return s.pipe.roundTrip(req, payload, out)
-	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.exchangeLocked(req, payload, out)
-}
-
-// exchangeLocked runs one request/response exchange: the request
-// frame, then the HtoD payload (if any) as Data frames, then the
-// response, then the DtoH payload (if any) read back into out.
-// Callers hold s.mu.
-func (s *RemoteSession) exchangeLocked(req hix.Request, payload, out []byte) (hix.Response, error) {
-	if s.broken != nil {
-		return hix.Response{}, fmt.Errorf("%w: %v", ErrBroken, s.broken)
-	}
-	if s.closed {
+	closed := s.closed
+	s.mu.Unlock()
+	if closed {
 		return hix.Response{}, ErrClosed
 	}
-	if err := s.nc.SetDeadline(time.Now().Add(s.ioTimeout)); err != nil {
-		return hix.Response{}, s.fail(err)
-	}
-	if err := wire.WriteFrame(s.bw, wire.OpRequest, req.Encode()); err != nil {
-		return hix.Response{}, s.fail(err)
-	}
-	for off := 0; off < len(payload); off += s.maxData {
-		end := min(off+s.maxData, len(payload))
-		if err := wire.WriteFrame(s.bw, wire.OpData, payload[off:end]); err != nil {
-			return hix.Response{}, s.fail(err)
-		}
-	}
-	if err := s.bw.Flush(); err != nil {
-		return hix.Response{}, s.fail(err)
-	}
-	resp, err := s.readResponse()
-	if err != nil {
-		return hix.Response{}, err
-	}
-	if resp.Status == hix.RespOK && len(out) > 0 {
-		if err := s.readPayload(out); err != nil {
-			return hix.Response{}, err
-		}
-	}
-	return resp, nil
-}
-
-// readResponse consumes frames until a Response, surfacing Error and
-// Goodbye frames as typed errors.
-func (s *RemoteSession) readResponse() (hix.Response, error) {
-	op, body, err := wire.ReadFrame(s.br)
-	if err != nil {
-		return hix.Response{}, s.fail(fmt.Errorf("hixrt: response: %w", err))
-	}
-	switch op {
-	case wire.OpResponse:
-		resp, err := hix.DecodeResponse(body)
-		if err != nil {
-			return hix.Response{}, s.fail(err)
-		}
-		s.noteComplete(resp.CompleteNS)
-		return resp, nil
-	case wire.OpError:
-		re, derr := wire.DecodeError(body)
-		if derr != nil {
-			return hix.Response{}, s.fail(derr)
-		}
-		return hix.Response{}, s.fail(re)
-	case wire.OpGoodbye:
-		s.closed = true
-		_ = s.nc.Close()
-		return hix.Response{}, ErrServerClosed
-	default:
-		return hix.Response{}, s.fail(fmt.Errorf("hixrt: %w: unexpected %v", hix.ErrProtocol, op))
-	}
-}
-
-// readPayload fills out from consecutive Data frames under exact
-// framing: each frame must carry exactly min(MaxData, remaining)
-// bytes, mirroring how the server chunks a DtoH payload. Anything else
-// (an over-send, a trailing short frame) would be misparsed as the
-// next exchange's response, so it is a desync — the session is torn
-// down with ErrDesync rather than left frame-misaligned.
-func (s *RemoteSession) readPayload(out []byte) error {
-	got := 0
-	for got < len(out) {
-		op, body, err := wire.ReadFrame(s.br)
-		if err != nil {
-			return s.fail(fmt.Errorf("hixrt: payload: %w", err))
-		}
-		if op != wire.OpData {
-			return s.fail(fmt.Errorf("hixrt: %w: %v during payload", hix.ErrProtocol, op))
-		}
-		want := min(s.maxData, len(out)-got)
-		if len(body) != want {
-			return s.fail(fmt.Errorf("%w: Data frame of %d bytes at offset %d, want exactly %d",
-				ErrDesync, len(body), got, want))
-		}
-		copy(out[got:], body)
-		got += len(body)
-	}
-	return nil
+	return s.pipe.roundTrip(req, payload, out)
 }
 
 // MemAlloc allocates device memory on the remote session.
@@ -505,38 +360,13 @@ func (s *RemoteSession) Launch(kernel string, params [gpu.NumKernelParams]uint64
 	return nil
 }
 
-// Close tears the remote session down and closes the connection. Safe
-// to call more than once; after a transport failure it only closes the
-// socket.
+// Close tears the remote session down and closes the connection. The
+// close request is one more pipelined exchange (it queues behind any
+// in-flight work — the server executes a connection's requests in
+// submission order) and the transport goes down once the reply lands.
+// Safe to call more than once; after a transport failure it only closes
+// the socket.
 func (s *RemoteSession) Close() error {
-	if s.pipe != nil {
-		return s.closeV2()
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil
-	}
-	resp, err := s.exchangeLocked(hix.Request{Type: hix.ReqClose}, nil, nil)
-	s.closed = true
-	_ = s.nc.Close()
-	if err != nil {
-		if errors.Is(err, ErrServerClosed) {
-			return nil
-		}
-		return err
-	}
-	if resp.Status != hix.RespOK {
-		return fmt.Errorf("%w: close status %d", ErrRequest, resp.Status)
-	}
-	return nil
-}
-
-// closeV2 sends the close request as one more pipelined exchange (it
-// queues behind any in-flight work — the server executes a
-// connection's requests in submission order) and tears the transport
-// down once the reply lands.
-func (s *RemoteSession) closeV2() error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()

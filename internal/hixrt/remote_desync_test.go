@@ -10,74 +10,42 @@ import (
 	"repro/internal/wire"
 )
 
-// fakeWireServer accepts one connection and hands it to serve on a
-// goroutine: a minimal in-test peer for exercising the client against
-// protocol misbehavior a real netserve server never produces.
-func fakeWireServer(t *testing.T, serve func(nc net.Conn)) string {
+// dtohAgainstChunks runs one DtoH of outLen bytes against a fake server
+// that answers OK and then streams Data frames of exactly the given
+// sizes, and returns the session and the readback's error.
+func dtohAgainstChunks(t *testing.T, outLen int, chunks ...int) (*RemoteSession, error) {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	go func() {
-		nc, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer nc.Close()
-		_ = nc.SetDeadline(time.Now().Add(10 * time.Second))
-		serve(nc)
-	}()
-	return ln.Addr().String()
-}
-
-// welcomeClient consumes the Hello and answers a plausible Welcome.
-func welcomeClient(t *testing.T, nc net.Conn) {
-	t.Helper()
-	op, _, err := wire.ReadFrame(nc)
-	if err != nil || op != wire.OpHello {
-		t.Errorf("fake server: op=%v err=%v, want hello", op, err)
-		return
-	}
-	w := wire.Welcome{
-		Version:     wire.Version1,
-		SessionID:   1,
-		SegmentSize: 32 << 20,
-		ChunkSize:   64 << 10,
-		MaxData:     wire.MaxData,
-	}
-	if err := wire.WriteFrame(nc, wire.OpWelcome, w.Encode()); err != nil {
-		t.Errorf("fake server: welcome: %v", err)
-	}
-}
-
-// TestRemoteDesyncOverSend: a server that answers a DtoH with a Data
-// frame larger than the expected exact chunk has desynced the stream —
-// the client must surface ErrDesync and break the session rather than
-// misparse the surplus as the next exchange's response.
-func TestRemoteDesyncOverSend(t *testing.T) {
 	addr := fakeWireServer(t, func(nc net.Conn) {
-		welcomeClient(t, nc)
-		op, _, err := wire.ReadFrame(nc)
-		if err != nil || op != wire.OpRequest {
-			t.Errorf("fake server: op=%v err=%v, want request", op, err)
+		welcomeClient(t, nc, wire.Version, 4)
+		tag, _, ok := readTagged(t, nc, wire.OpTRequest)
+		if !ok {
 			return
 		}
-		resp := hix.Response{Status: hix.RespOK}
-		if err := wire.WriteFrame(nc, wire.OpResponse, resp.Encode()); err != nil {
+		if err := writeTaggedResp(nc, tag, hix.Response{Status: hix.RespOK}); err != nil {
 			return
 		}
-		// The client asked for 8 bytes; send 16 in one frame.
-		_ = wire.WriteFrame(nc, wire.OpData, make([]byte, 16))
+		for _, n := range chunks {
+			if err := writeTagged(nc, wire.OpTData, tag, make([]byte, n)); err != nil {
+				return
+			}
+		}
 	})
 	s, err := DialConfig(addr, RemoteConfig{IOTimeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
-	out := make([]byte, 8)
-	err = s.MemcpyDtoH(out, 0x1000, len(out))
+	t.Cleanup(func() { s.Close() })
+	out := make([]byte, outLen)
+	return s, s.MemcpyDtoH(out, 0x1000, len(out))
+}
+
+// TestPipeDesyncOverSend: a server that answers a DtoH with a Data
+// frame larger than the expected exact chunk has desynced the stream —
+// the client must surface ErrDesync and break the session rather than
+// misparse the surplus as the next exchange's response.
+func TestPipeDesyncOverSend(t *testing.T) {
+	// The client asked for 8 bytes; send 16 in one tagged frame.
+	s, err := dtohAgainstChunks(t, 8, 16)
 	if !errors.Is(err, ErrDesync) {
 		t.Fatalf("over-send surfaced as %v, want ErrDesync", err)
 	}
@@ -90,30 +58,23 @@ func TestRemoteDesyncOverSend(t *testing.T) {
 	}
 }
 
+// TestRemoteDesyncOverSend: the exact-framing contract holds on the
+// final chunk of a multi-chunk payload too — after a correct MaxData
+// first chunk, the remaining 8 bytes must arrive as exactly 8.
+func TestRemoteDesyncOverSend(t *testing.T) {
+	_, err := dtohAgainstChunks(t, wire.MaxData+8, wire.MaxData, 16)
+	if !errors.Is(err, ErrDesync) {
+		t.Fatalf("final-chunk over-send surfaced as %v, want ErrDesync", err)
+	}
+}
+
 // TestRemoteDesyncShortChunk: a non-final Data frame smaller than the
 // exact chunk size is equally a desync.
 func TestRemoteDesyncShortChunk(t *testing.T) {
-	addr := fakeWireServer(t, func(nc net.Conn) {
-		welcomeClient(t, nc)
-		op, _, err := wire.ReadFrame(nc)
-		if err != nil || op != wire.OpRequest {
-			return
-		}
-		resp := hix.Response{Status: hix.RespOK}
-		if err := wire.WriteFrame(nc, wire.OpResponse, resp.Encode()); err != nil {
-			return
-		}
-		// First chunk of a MaxData+8 payload must be exactly MaxData
-		// bytes; send 100.
-		_ = wire.WriteFrame(nc, wire.OpData, make([]byte, 100))
-	})
-	s, err := DialConfig(addr, RemoteConfig{IOTimeout: 5 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	out := make([]byte, wire.MaxData+8)
-	if err := s.MemcpyDtoH(out, 0x1000, len(out)); !errors.Is(err, ErrDesync) {
+	// First chunk of a MaxData+8 payload must be exactly MaxData bytes;
+	// send 100.
+	_, err := dtohAgainstChunks(t, wire.MaxData+8, 100)
+	if !errors.Is(err, ErrDesync) {
 		t.Fatalf("short chunk surfaced as %v, want ErrDesync", err)
 	}
 }

@@ -22,13 +22,14 @@ import (
 // errDrained reports an idle wait ended by graceful shutdown.
 var errDrained = errors.New("netserve: draining")
 
-// errAborted reports a v2 read loop cut short by its executor hitting
-// a terminal error.
+// errAborted reports a read loop cut short by its executor hitting a
+// terminal error.
 var errAborted = errors.New("netserve: connection aborted")
 
-// outFrame is one queued frame on a connection's send path. When buf
-// is non-nil the body aliases pooled storage owned by this frame; the
-// writer releases it once the frame is written (or dropped).
+// outFrame is one queued frame on a connection's send path: tagged for
+// responses and payload chunks, untagged for Error and Goodbye. When
+// buf is non-nil the body aliases pooled storage owned by this frame;
+// the writer releases it once the frame is written (or dropped).
 type outFrame struct {
 	op     wire.Opcode
 	tag    uint32
@@ -45,9 +46,9 @@ func (f *outFrame) release() {
 }
 
 // conn bridges one TCP connection onto one in-process HIX session. The
-// handler goroutine owns the read side and the session; a dedicated
-// writer goroutine drains the send queue so a slow peer backpressures
-// only its own connection.
+// handler goroutine owns the read side and feeds a serial executor,
+// which owns the session; a dedicated writer goroutine drains the send
+// queue so a slow peer backpressures only its own connection.
 //
 // Shutdown interruption is precise: while the handler idles between
 // requests it waits for the next frame header with a non-destructive
@@ -59,10 +60,9 @@ type conn struct {
 	srv *Server
 	nc  net.Conn
 	br  *bufio.Reader
-	fr  *wire.FrameReader // pooled destructive reads (v2 path)
+	fr  *wire.FrameReader // pooled destructive reads
 
-	sess    *hixrt.Session
-	version uint16
+	sess *hixrt.Session
 
 	// readMu orders deadline writes between the handler and
 	// interruptRead; busy marks a destructive read in progress that
@@ -77,8 +77,8 @@ type conn struct {
 	sendQ      chan outFrame
 	writerDone chan struct{}
 	wfailed    atomic.Bool
-	// aborted marks a v2 connection whose executor hit a terminal
-	// error; the read loop must stop instead of feeding it more work.
+	// aborted marks a connection whose executor hit a terminal error;
+	// the read loop must stop instead of feeding it more work.
 	aborted atomic.Bool
 }
 
@@ -175,19 +175,19 @@ func (c *conn) armRead() {
 	c.readMu.Unlock()
 }
 
-// readFrame destructively reads one frame under a fresh deadline. Only
-// call with the connection busy (or during the handshake, before
-// Shutdown tracks the conn as idle).
-func (c *conn) readFrame() (wire.Opcode, []byte, error) {
+// readFrame destructively reads one frame of the serving state under a
+// fresh deadline; only call with the connection busy. The body comes
+// from the frame pool and the caller must Release it exactly once. A
+// frame the decoder refuses (oversized, unknown opcode) is a violation
+// the peer is told about; a stream that ends or stalls mid-frame has no
+// one left to tell.
+func (c *conn) readFrame() (wire.Opcode, *wire.Buf, error) {
 	c.armRead()
-	return wire.ReadFrame(c.br)
-}
-
-// readFrameP is readFrame on the pooled path (v2): the body comes from
-// the frame pool and the caller must Release it exactly once.
-func (c *conn) readFrameP() (wire.Opcode, *wire.Buf, error) {
-	c.armRead()
-	return c.fr.Next()
+	op, buf, err := c.fr.Next()
+	if err != nil && err != io.EOF && !errors.Is(err, wire.ErrShortFrame) {
+		err = c.violation(hix.ErrProtocol, "%v", err)
+	}
+	return op, buf, err
 }
 
 // send queues one frame for the writer; it reports false once the write
@@ -196,7 +196,7 @@ func (c *conn) send(op wire.Opcode, body []byte) bool {
 	return c.enqueue(outFrame{op: op, body: body})
 }
 
-// sendT queues one tagged (v2) frame. buf, when non-nil, is the pooled
+// sendT queues one tagged frame. buf, when non-nil, is the pooled
 // storage body aliases; the writer releases it after the write — on a
 // false return the frame was dropped and buf has already been
 // released.
@@ -213,7 +213,7 @@ func (c *conn) enqueue(f outFrame) bool {
 	// DtoH stream, and keeping the site request-driven (one decision
 	// per queued chunk on the serial handler) keeps the fault schedule
 	// deterministic.
-	if (f.op == wire.OpData || f.op == wire.OpTData) && c.srv.cfg.Faults.Fire(faults.NetSendQueue) {
+	if f.op == wire.OpTData && c.srv.cfg.Faults.Fire(faults.NetSendQueue) {
 		c.wfailed.Store(true)
 		c.srv.logf("netserve: injected send-queue overflow")
 		f.release()
@@ -305,14 +305,10 @@ func (c *conn) run() {
 		close(c.sendQ)
 		<-c.writerDone
 	}()
-	if c.version >= wire.Version2 {
-		c.loopV2()
-	} else {
-		c.loop()
-	}
+	c.serve()
 }
 
-// handshake reads the Hello, negotiates a version, opens the bridged
+// handshake reads the Hello, checks its version range, opens the bridged
 // session, and answers Welcome. Failures answer a typed Error frame
 // directly. Reports whether the connection reached serving state.
 func (c *conn) handshake() bool {
@@ -325,17 +321,20 @@ func (c *conn) handshake() bool {
 		return false
 	}
 	c.setBusy(true)
-	op, body, err := c.readFrame()
+	c.armRead()
+	op, buf, err := c.fr.Next()
 	if err != nil {
 		c.sendNow(wire.OpError, wire.EncodeError(wire.ECodeProto, err.Error()))
 		return false
 	}
 	if op != wire.OpHello {
+		buf.Release()
 		c.sendNow(wire.OpError, wire.EncodeError(wire.ECodeProto,
 			fmt.Sprintf("expected hello, got %v", op)))
 		return false
 	}
-	h, err := wire.DecodeHello(body)
+	h, err := wire.DecodeHello(buf.Bytes())
+	buf.Release()
 	if err != nil {
 		code := wire.ECodeProto
 		if errors.Is(err, wire.ErrVersion) {
@@ -344,8 +343,7 @@ func (c *conn) handshake() bool {
 		c.sendNow(wire.OpError, wire.EncodeError(code, err.Error()))
 		return false
 	}
-	ver, err := wire.NegotiateCapped(h.MinVersion, h.MaxVersion, c.srv.cfg.MaxWireVersion)
-	if err != nil {
+	if err := wire.Negotiate(h.MinVersion, h.MaxVersion); err != nil {
 		c.sendNow(wire.OpError, wire.EncodeError(wire.ECodeVersion, err.Error()))
 		return false
 	}
@@ -358,13 +356,13 @@ func (c *conn) handshake() bool {
 			"authentication circuit breaker open"))
 		return false
 	}
-	// Resumption fast path: a v3 Hello carrying a ticket skips the
+	// Resumption fast path: a Hello carrying a ticket skips the
 	// attested key exchange entirely if the ticket validates. Any
 	// refusal is logged by class and falls back — transparently — to
 	// the full handshake the client was prepared to pay anyway.
 	var sess *hixrt.Session
 	resumed := false
-	if ver >= wire.Version3 && len(h.Ticket) > 0 {
+	if len(h.Ticket) > 0 {
 		st, terr := c.srv.tickets.Open(h.Ticket, h.Measurement)
 		if terr == nil {
 			sess, terr = c.srv.openSessionResumed(st, c.nc.RemoteAddr().String())
@@ -392,89 +390,28 @@ func (c *conn) handshake() bool {
 	}
 	c.srv.authResult(true)
 	c.sess = sess
-	c.version = ver
 	w := wire.Welcome{
-		Version:     ver,
+		Version:     wire.Version,
 		SessionID:   sess.ID(),
 		SegmentSize: sess.Segment().Size,
 		ChunkSize:   uint32(c.srv.m.Cost.CryptoChunk),
 		MaxData:     uint32(c.srv.cfg.MaxData),
+		MaxInFlight: uint16(c.srv.cfg.MaxInFlight),
 		Enclave:     c.srv.ge.Measurement(),
+		Resumed:     resumed,
 	}
-	if ver >= wire.Version2 {
-		w.MaxInFlight = uint16(c.srv.cfg.MaxInFlight)
-	}
-	if ver >= wire.Version3 {
-		// Tickets are single-use, so every v3 handshake — full or
-		// resumed — hands out the next one.
-		w.Resumed = resumed
-		if tkt, err := c.srv.mintTicket(sess, h.Measurement); err != nil {
-			c.srv.logf("netserve: ticket mint: %v", err)
-		} else {
-			w.Ticket = tkt
-		}
+	// Tickets are single-use, so every handshake — full or resumed —
+	// hands out the next one.
+	if tkt, err := c.srv.mintTicket(sess, h.Measurement); err != nil {
+		c.srv.logf("netserve: ticket mint: %v", err)
+	} else {
+		w.Ticket = tkt
 	}
 	c.sendNow(wire.OpWelcome, w.Encode())
 	return true
 }
 
-// loop is the serving state: one request at a time, in order, until the
-// client closes, an error breaks the connection, or the server drains.
-func (c *conn) loop() {
-	for {
-		if c.wfailed.Load() {
-			return
-		}
-		if err := c.waitFrame(); err != nil {
-			switch {
-			case err == errDrained:
-				c.send(wire.OpGoodbye, nil)
-			case err == io.EOF:
-				// Peer hung up without ReqClose; session teardown in run.
-			case errors.Is(err, os.ErrDeadlineExceeded):
-				c.send(wire.OpError, wire.EncodeError(wire.ECodeProto, "idle timeout"))
-			case errors.Is(err, io.ErrUnexpectedEOF):
-				c.srv.logf("netserve: %v", err)
-			default:
-				c.send(wire.OpError, wire.EncodeError(wire.ECodeProto, err.Error()))
-			}
-			return
-		}
-		// A drop fires as the request arrives: abrupt close, no
-		// Goodbye — the client sees the transport die mid-exchange.
-		if c.srv.cfg.Faults.Fire(faults.NetDrop) {
-			c.srv.logf("netserve: injected connection drop")
-			return
-		}
-		c.setBusy(true)
-		op, body, err := c.readFrame()
-		if err != nil {
-			if !errors.Is(err, wire.ErrShortFrame) {
-				c.send(wire.OpError, wire.EncodeError(wire.ECodeProto, err.Error()))
-			}
-			c.srv.logf("netserve: %v", err)
-			return
-		}
-		if op != wire.OpRequest {
-			c.send(wire.OpError, wire.EncodeError(wire.ECodeProto,
-				fmt.Sprintf("expected request, got %v", op)))
-			return
-		}
-		start := time.Now()
-		done, err := c.handleRequest(body)
-		c.srv.observeServe(time.Since(start))
-		c.setBusy(false)
-		if err != nil {
-			c.srv.logf("netserve: request: %v", err)
-			return
-		}
-		if done {
-			return
-		}
-	}
-}
-
-// tReq is one tagged request handed from the v2 read loop to the
+// tReq is one tagged request handed from the read loop to the
 // executor. payload (non-nil for HtoD) is pooled and owned by the
 // receiver: the executor releases it after bridging the transfer.
 type tReq struct {
@@ -490,16 +427,17 @@ func (r *tReq) release() {
 	}
 }
 
-// loopV2 is the pipelined serving state: a read loop dispatches tagged
-// requests onto a serial executor through a bounded queue, so up to
-// MaxInFlight requests overlap their wire transfer and queueing with
-// execution while the session still observes exactly the submission
-// order — the lock-step op sequence, hence byte-identical ciphertext.
-func (c *conn) loopV2() {
+// serve is the serving state: a read loop dispatches tagged requests
+// onto a serial executor through a bounded queue, so up to MaxInFlight
+// requests overlap their wire transfer and queueing with execution
+// while the session still observes exactly the submission order — the
+// ciphertext stream is byte-identical at every window, and a window of
+// 1 is lock-step.
+func (c *conn) serve() {
 	execQ := make(chan *tReq, c.srv.cfg.MaxInFlight)
 	execDone := make(chan struct{})
-	go c.executeV2(execQ, execDone)
-	sayGoodbye := c.readLoopV2(execQ)
+	go c.execute(execQ, execDone)
+	sayGoodbye := c.readLoop(execQ)
 	// Drain order: stop reading, let the executor finish (and flush
 	// replies for) everything already queued, then say Goodbye.
 	close(execQ)
@@ -509,12 +447,12 @@ func (c *conn) loopV2() {
 	}
 }
 
-// readLoopV2 reads tagged requests (each with its contiguous payload
+// readLoop reads tagged requests (each with its contiguous payload
 // frames) and queues them for execution. It reports whether the
 // connection should end with a Goodbye (graceful drain); a client
 // close ends the loop too, but its Goodbye is the executor's to send
 // after the close reply.
-func (c *conn) readLoopV2(execQ chan<- *tReq) (sayGoodbye bool) {
+func (c *conn) readLoop(execQ chan<- *tReq) (sayGoodbye bool) {
 	for {
 		if c.wfailed.Load() || c.aborted.Load() {
 			return false
@@ -536,14 +474,14 @@ func (c *conn) readLoopV2(execQ chan<- *tReq) (sayGoodbye bool) {
 			}
 			return false
 		}
-		// Same injection point as the v1 loop: the drop fires as a
-		// request arrives — abrupt close, no Goodbye.
+		// A drop fires as the request arrives: abrupt close, no
+		// Goodbye — the client sees the transport die mid-exchange.
 		if c.srv.cfg.Faults.Fire(faults.NetDrop) {
 			c.srv.logf("netserve: injected connection drop")
 			return false
 		}
 		c.setBusy(true)
-		r, err := c.readRequestV2()
+		r, err := c.readRequest()
 		c.setBusy(false)
 		if err != nil {
 			if c.aborted.Load() {
@@ -562,110 +500,102 @@ func (c *conn) readLoopV2(execQ chan<- *tReq) (sayGoodbye bool) {
 	}
 }
 
-// readRequestV2 reads one tagged request frame plus, for HtoD, its
+// violation queues the terminal Error frame for a protocol violation
+// and returns the same message as a typed error: kind is
+// hix.ErrProtocol (framing, tag, desync; ECodeProto on the wire) or
+// hixrt.ErrRequest (a length out of range; ECodeRequest). Error frames
+// are untagged: they condemn the connection, not one request.
+func (c *conn) violation(kind error, format string, args ...any) error {
+	msg := fmt.Sprintf(format, args...)
+	code := wire.ECodeProto
+	if kind == hixrt.ErrRequest {
+		code = wire.ECodeRequest
+	}
+	c.send(wire.OpError, wire.EncodeError(code, msg))
+	return fmt.Errorf("%w: %s", kind, msg)
+}
+
+// readRequest reads one tagged request frame plus, for HtoD, its
 // contiguous same-tag Data frames into a pooled transfer buffer. Any
 // protocol violation queues an Error frame (where one applies) and is
 // terminal.
-func (c *conn) readRequestV2() (*tReq, error) {
-	op, buf, err := c.readFrameP()
+func (c *conn) readRequest() (*tReq, error) {
+	op, buf, err := c.readFrame()
 	if err != nil {
-		if !errors.Is(err, wire.ErrShortFrame) && err != io.EOF {
-			c.send(wire.OpError, wire.EncodeError(wire.ECodeProto, err.Error()))
-		}
 		return nil, err
 	}
 	defer buf.Release()
 	if op != wire.OpTRequest {
-		c.send(wire.OpError, wire.EncodeError(wire.ECodeProto,
-			fmt.Sprintf("expected tagged request, got %v", op)))
-		return nil, fmt.Errorf("expected tagged request, got %v", op)
+		return nil, c.violation(hix.ErrProtocol, "expected tagged request, got %v", op)
 	}
-	var body []byte
-	if buf != nil {
-		body = buf.Bytes()
-	}
-	tag, reqBody, err := wire.SplitTag(body)
+	tag, reqBody, err := wire.SplitTag(buf.Bytes())
 	if err != nil {
-		c.send(wire.OpError, wire.EncodeError(wire.ECodeProto, err.Error()))
-		return nil, err
+		return nil, c.violation(hix.ErrProtocol, "%v", err)
 	}
 	req, err := hix.DecodeRequest(reqBody)
 	if err != nil {
-		c.send(wire.OpError, wire.EncodeError(wire.ECodeProto, err.Error()))
-		return nil, err
+		return nil, c.violation(hix.ErrProtocol, "%v", err)
 	}
 	r := &tReq{tag: tag, req: req}
 	if req.Type != hix.ReqMemcpyHtoD || req.Flags&gpu.FlagSynthetic != 0 {
 		// Synthetic-flagged requests are rejected by the executor
-		// before any payload is consumed, as in v1.
+		// before any payload is consumed.
 		return r, nil
 	}
 	if req.Len == 0 || req.Len > c.srv.cfg.MaxTransfer {
 		// Reject before consuming payload; the stream is desynced, so
-		// this is terminal (mirrors the v1 handler). Error frames are
-		// untagged: they condemn the connection, not one request.
-		c.send(wire.OpError, wire.EncodeError(wire.ECodeRequest,
-			fmt.Sprintf("HtoD length %d out of range (max %d)", req.Len, c.srv.cfg.MaxTransfer)))
-		return nil, fmt.Errorf("HtoD length %d out of range", req.Len)
+		// this is terminal.
+		return nil, c.violation(hixrt.ErrRequest, "HtoD length %d out of range (max %d)", req.Len, c.srv.cfg.MaxTransfer)
 	}
 	xfer := wire.GetBuf(int(req.Len))
-	dst := xfer.Bytes()
-	got := 0
-	for got < len(dst) {
-		op, cb, err := c.readFrameP()
-		if err != nil {
-			xfer.Release()
-			return nil, fmt.Errorf("HtoD payload: %w", err)
-		}
-		var cbody []byte
-		if cb != nil {
-			cbody = cb.Bytes()
-		}
-		if op != wire.OpTData {
-			cb.Release()
-			xfer.Release()
-			c.send(wire.OpError, wire.EncodeError(wire.ECodeProto,
-				fmt.Sprintf("expected tagged data, got %v", op)))
-			return nil, fmt.Errorf("HtoD payload: unexpected %v", op)
-		}
-		ctag, chunk, terr := wire.SplitTag(cbody)
-		if terr != nil {
-			cb.Release()
-			xfer.Release()
-			c.send(wire.OpError, wire.EncodeError(wire.ECodeProto, terr.Error()))
-			return nil, terr
-		}
-		if ctag != tag {
-			cb.Release()
-			xfer.Release()
-			c.send(wire.OpError, wire.EncodeError(wire.ECodeProto,
-				fmt.Sprintf("HtoD payload tag %#x, want %#x", ctag, tag)))
-			return nil, fmt.Errorf("HtoD payload tag mismatch")
-		}
-		// Exact framing, as in v1: each chunk carries exactly
-		// min(MaxData, remaining) bytes or the stream has desynced.
-		want := min(c.srv.cfg.MaxData, len(dst)-got)
-		if len(chunk) != want {
-			cb.Release()
-			xfer.Release()
-			c.send(wire.OpError, wire.EncodeError(wire.ECodeProto,
-				fmt.Sprintf("HtoD payload desync: %d-byte frame at offset %d, want exactly %d",
-					len(chunk), got, want)))
-			return nil, fmt.Errorf("HtoD payload desync (%d at %d, want %d)", len(chunk), got, want)
-		}
-		copy(dst[got:], chunk)
-		got += len(chunk)
-		cb.Release()
+	if err := c.readPayload(tag, xfer.Bytes()); err != nil {
+		xfer.Release()
+		return nil, err
 	}
 	r.payload = xfer
 	return r, nil
 }
 
-// executeV2 runs queued requests serially — the determinism and
+// readPayload fills dst from the Data frames that follow an HtoD
+// request. Framing is exact: every chunk carries the request's tag and
+// exactly min(MaxData, remaining) bytes, or the stream has desynced —
+// terminal, before any partial payload reaches the session.
+func (c *conn) readPayload(tag uint32, dst []byte) error {
+	for got := 0; got < len(dst); {
+		op, cb, err := c.readFrame()
+		if err != nil {
+			return fmt.Errorf("HtoD payload: %w", err)
+		}
+		if op != wire.OpTData {
+			cb.Release()
+			return c.violation(hix.ErrProtocol, "expected tagged data, got %v", op)
+		}
+		ctag, chunk, err := wire.SplitTag(cb.Bytes())
+		want := min(c.srv.cfg.MaxData, len(dst)-got)
+		switch {
+		case err != nil:
+			err = c.violation(hix.ErrProtocol, "%v", err)
+		case ctag != tag:
+			err = c.violation(hix.ErrProtocol, "HtoD payload tag %#x, want %#x", ctag, tag)
+		case len(chunk) != want:
+			err = c.violation(hix.ErrProtocol, "HtoD payload desync: %d-byte frame at offset %d, want exactly %d",
+				len(chunk), got, want)
+		}
+		if err != nil {
+			cb.Release()
+			return err
+		}
+		got += copy(dst[got:], chunk)
+		cb.Release()
+	}
+	return nil
+}
+
+// execute runs queued requests serially — the determinism and
 // identity contract — and routes tagged replies through the send
 // queue. A terminal error aborts the read loop and drains the rest of
 // the queue without executing it.
-func (c *conn) executeV2(execQ <-chan *tReq, done chan<- struct{}) {
+func (c *conn) execute(execQ <-chan *tReq, done chan<- struct{}) {
 	defer close(done)
 	// cur pins the request being executed so a panic names its tag and
 	// peer — without them a multi-connection server's panic log is
@@ -679,7 +609,7 @@ func (c *conn) executeV2(execQ <-chan *tReq, done chan<- struct{}) {
 			} else {
 				c.srv.logf("netserve: executor panic: %v (remote %s)", r, c.nc.RemoteAddr())
 			}
-			c.abortV2()
+			c.abort()
 		}
 	}()
 	failed := false
@@ -711,20 +641,20 @@ func (c *conn) executeV2(execQ <-chan *tReq, done chan<- struct{}) {
 			}
 			if err != nil {
 				c.srv.logf("netserve: request: %v", err)
-				c.abortV2()
+				c.abort()
 				failed = true
 			}
 			continue
 		}
 		cur = r
 		start := time.Now()
-		connDone, err := c.handleRequestV2(r)
+		connDone, err := c.handleRequest(r)
 		c.srv.observeServe(time.Since(start))
 		cur = nil
 		r.release()
 		if err != nil {
 			c.srv.logf("netserve: request: %v", err)
-			c.abortV2()
+			c.abort()
 			failed = true
 		}
 		if connDone {
@@ -802,7 +732,7 @@ func (c *conn) handleLaunchWindow(win []*tReq) error {
 	if len(specs) > 0 {
 		errs, terminal := c.sess.LaunchWindow(specs)
 		for i := range specs {
-			if rerr := c.replyErrT(win[i].tag, errs[i], 0); rerr != nil {
+			if rerr := c.reply(win[i].tag, errs[i], 0); rerr != nil {
 				return rerr
 			}
 		}
@@ -817,67 +747,67 @@ func (c *conn) handleLaunchWindow(win []*tReq) error {
 	return nil
 }
 
-// abortV2 stops the v2 read loop after a terminal executor error: the
-// flag makes the loop exit and the deadline write unblocks a read
-// already in progress.
-func (c *conn) abortV2() {
+// abort stops the read loop after a terminal executor error: the flag
+// makes the loop exit and the deadline write unblocks a read already in
+// progress.
+func (c *conn) abort() {
 	c.readMu.Lock()
 	c.aborted.Store(true)
 	_ = c.nc.SetReadDeadline(time.Now())
 	c.readMu.Unlock()
 }
 
-// handleRequestV2 bridges one tagged request onto the session; the
+// handleRequest bridges one tagged request onto the session; the
 // payload for HtoD was already assembled by the read loop. Reports
 // done=true after a client close (Goodbye has been queued).
-func (c *conn) handleRequestV2(r *tReq) (done bool, err error) {
+func (c *conn) handleRequest(r *tReq) (done bool, err error) {
 	req := r.req
 	if req.Flags&gpu.FlagSynthetic != 0 {
-		return false, c.replyT(r.tag, hix.Response{Status: hix.RespBadRequest})
+		// Remote sessions are always functional: synthetic (timing-only)
+		// transfers carry no bytes and cannot be bridged faithfully.
+		return false, c.reply(r.tag, errBadRequest, 0)
 	}
 	switch req.Type {
 	case hix.ReqMemAlloc:
 		ptr, err := c.sess.MemAlloc(req.Size)
-		return false, c.replyErrT(r.tag, err, uint64(ptr))
+		return false, c.reply(r.tag, err, uint64(ptr))
 	case hix.ReqManagedAlloc:
 		ptr, err := c.sess.ManagedAlloc(req.Size)
-		return false, c.replyErrT(r.tag, err, uint64(ptr))
+		return false, c.reply(r.tag, err, uint64(ptr))
 	case hix.ReqMemFree, hix.ReqManagedFree:
-		return false, c.replyErrT(r.tag, c.sess.MemFree(hixrt.Ptr(req.Ptr)), 0)
+		return false, c.reply(r.tag, c.sess.MemFree(hixrt.Ptr(req.Ptr)), 0)
 	case hix.ReqMemcpyHtoD:
-		return false, c.replyErrT(r.tag, c.sess.MemcpyHtoD(hixrt.Ptr(req.Ptr), r.payload.Bytes(), int(req.Len)), 0)
+		return false, c.reply(r.tag, c.sess.MemcpyHtoD(hixrt.Ptr(req.Ptr), r.payload.Bytes(), int(req.Len)), 0)
 	case hix.ReqMemcpyDtoH:
-		return false, c.handleDtoHV2(r.tag, req)
+		return false, c.handleDtoH(r.tag, req)
 	case hix.ReqLaunch:
 		if c.srv.cfg.Faults.Fire(faults.GPUDeviceFault) {
 			c.send(wire.OpError, wire.EncodeError(wire.ECodeServer, "injected device fault"))
 			return false, errors.New("injected device fault")
 		}
-		return false, c.replyErrT(r.tag, c.sess.Launch(req.Kernel, req.Params), 0)
+		return false, c.reply(r.tag, c.sess.Launch(req.Kernel, req.Params), 0)
 	case hix.ReqClose:
-		if err := c.replyErrT(r.tag, c.sess.Close(), 0); err != nil {
+		if err := c.reply(r.tag, c.sess.Close(), 0); err != nil {
 			return true, err
 		}
 		c.send(wire.OpGoodbye, nil)
 		return true, nil
 	default:
-		return false, c.replyT(r.tag, hix.Response{Status: hix.RespBadRequest})
+		return false, c.reply(r.tag, errBadRequest, 0)
 	}
 }
 
-// handleDtoHV2 bridges a download and streams it back as tagged Data
+// handleDtoH bridges a download and streams it back as tagged Data
 // frames (each a pooled copy the writer releases) after the response.
-func (c *conn) handleDtoHV2(tag uint32, req hix.Request) error {
+func (c *conn) handleDtoH(tag uint32, req hix.Request) error {
 	if req.Len == 0 || req.Len > c.srv.cfg.MaxTransfer {
-		c.send(wire.OpError, wire.EncodeError(wire.ECodeRequest,
-			fmt.Sprintf("DtoH length %d out of range (max %d)", req.Len, c.srv.cfg.MaxTransfer)))
-		return fmt.Errorf("DtoH length %d out of range", req.Len)
+		return c.violation(hixrt.ErrRequest, "DtoH length %d out of range (max %d)", req.Len, c.srv.cfg.MaxTransfer)
 	}
 	xfer := wire.GetBuf(int(req.Len))
 	defer xfer.Release()
 	buf := xfer.Bytes()
 	err := c.sess.MemcpyDtoH(buf, hixrt.Ptr(req.Ptr), len(buf))
-	if rerr := c.replyErrT(tag, err, 0); rerr != nil {
+	if rerr := c.reply(tag, err, 0); rerr != nil {
 		return rerr
 	}
 	if err != nil {
@@ -897,15 +827,27 @@ func (c *conn) handleDtoHV2(tag uint32, req hix.Request) error {
 	return nil
 }
 
-// replyErrT is replyErr for tagged replies.
-func (c *conn) replyErrT(tag uint32, err error, value uint64) error {
+// errBadRequest is what handleRequest hands reply for a request the
+// bridge refuses without consulting the session.
+var errBadRequest = errors.New("netserve: bad request")
+
+// reply answers one request, mapping a session-API error onto the wire
+// so it mirrors the in-process error surface: auth failures become
+// RespAuthFailed, request refusals RespError; transport-level failures
+// (closed session, machine faults) are terminal and answer an Error
+// frame instead. The Response is stamped with the session's simulated
+// completion instant so remote clients see sim time.
+func (c *conn) reply(tag uint32, err error, value uint64) error {
+	var resp hix.Response
 	switch {
 	case err == nil:
-		return c.replyT(tag, hix.Response{Status: hix.RespOK, Value: value})
+		resp.Status, resp.Value = hix.RespOK, value
+	case err == errBadRequest:
+		resp.Status = hix.RespBadRequest
 	case errors.Is(err, hixrt.ErrAuth):
-		return c.replyT(tag, hix.Response{Status: hix.RespAuthFailed})
+		resp.Status = hix.RespAuthFailed
 	case errors.Is(err, hixrt.ErrRequest):
-		return c.replyT(tag, hix.Response{Status: hix.RespError})
+		resp.Status = hix.RespError
 	case errors.Is(err, hixrt.ErrClosed):
 		c.send(wire.OpError, wire.EncodeError(wire.ECodeRequest, "session closed"))
 		return err
@@ -913,153 +855,8 @@ func (c *conn) replyErrT(tag uint32, err error, value uint64) error {
 		c.send(wire.OpError, wire.EncodeError(wire.ECodeServer, err.Error()))
 		return err
 	}
-}
-
-// replyT queues one tagged Response frame, stamped with the session's
-// simulated completion instant.
-func (c *conn) replyT(tag uint32, resp hix.Response) error {
 	resp.CompleteNS = int64(c.sess.Now())
 	if !c.sendT(wire.OpTResponse, tag, resp.Encode(), nil) {
-		return errors.New("netserve: send queue failed")
-	}
-	return nil
-}
-
-// handleRequest bridges one wire request onto the session. It reports
-// done=true when the connection should end (client close), and a
-// non-nil error when the connection is no longer coherent (an Error
-// frame has already been queued where one applies).
-func (c *conn) handleRequest(body []byte) (done bool, err error) {
-	req, err := hix.DecodeRequest(body)
-	if err != nil {
-		c.send(wire.OpError, wire.EncodeError(wire.ECodeProto, err.Error()))
-		return false, err
-	}
-	if req.Flags&gpu.FlagSynthetic != 0 {
-		// Remote sessions are always functional: synthetic (timing-only)
-		// transfers carry no bytes and cannot be bridged faithfully.
-		return false, c.reply(hix.Response{Status: hix.RespBadRequest})
-	}
-	switch req.Type {
-	case hix.ReqMemAlloc:
-		ptr, err := c.sess.MemAlloc(req.Size)
-		return false, c.replyErr(err, uint64(ptr))
-	case hix.ReqManagedAlloc:
-		ptr, err := c.sess.ManagedAlloc(req.Size)
-		return false, c.replyErr(err, uint64(ptr))
-	case hix.ReqMemFree, hix.ReqManagedFree:
-		return false, c.replyErr(c.sess.MemFree(hixrt.Ptr(req.Ptr)), 0)
-	case hix.ReqMemcpyHtoD:
-		return false, c.handleHtoD(req)
-	case hix.ReqMemcpyDtoH:
-		return false, c.handleDtoH(req)
-	case hix.ReqLaunch:
-		if c.srv.cfg.Faults.Fire(faults.GPUDeviceFault) {
-			c.send(wire.OpError, wire.EncodeError(wire.ECodeServer, "injected device fault"))
-			return false, errors.New("injected device fault")
-		}
-		return false, c.replyErr(c.sess.Launch(req.Kernel, req.Params), 0)
-	case hix.ReqClose:
-		if err := c.replyErr(c.sess.Close(), 0); err != nil {
-			return true, err
-		}
-		c.send(wire.OpGoodbye, nil)
-		return true, nil
-	default:
-		return false, c.reply(hix.Response{Status: hix.RespBadRequest})
-	}
-}
-
-// handleHtoD consumes the request's Data frames and bridges the upload.
-func (c *conn) handleHtoD(req hix.Request) error {
-	if req.Len == 0 || req.Len > c.srv.cfg.MaxTransfer {
-		// Reject before consuming payload; the stream is desynced, so
-		// this is terminal.
-		c.send(wire.OpError, wire.EncodeError(wire.ECodeRequest,
-			fmt.Sprintf("HtoD length %d out of range (max %d)", req.Len, c.srv.cfg.MaxTransfer)))
-		return fmt.Errorf("HtoD length %d out of range", req.Len)
-	}
-	buf := make([]byte, req.Len)
-	got := 0
-	for got < len(buf) {
-		op, body, err := c.readFrame()
-		if err != nil {
-			return fmt.Errorf("HtoD payload: %w", err)
-		}
-		if op != wire.OpData {
-			c.send(wire.OpError, wire.EncodeError(wire.ECodeProto,
-				fmt.Sprintf("expected data, got %v", op)))
-			return fmt.Errorf("HtoD payload: unexpected %v", op)
-		}
-		// Exact framing, mirroring the client's readPayload: each Data
-		// frame must carry exactly min(MaxData, remaining) bytes. An
-		// over-send or short chunk means the peer's framing has
-		// desynced from ours — terminal, before any partial payload
-		// reaches the session.
-		want := min(c.srv.cfg.MaxData, len(buf)-got)
-		if len(body) != want {
-			c.send(wire.OpError, wire.EncodeError(wire.ECodeProto,
-				fmt.Sprintf("HtoD payload desync: %d-byte frame at offset %d, want exactly %d",
-					len(body), got, want)))
-			return fmt.Errorf("HtoD payload desync (%d at %d, want %d)", len(body), got, want)
-		}
-		copy(buf[got:], body)
-		got += len(body)
-	}
-	return c.replyErr(c.sess.MemcpyHtoD(hixrt.Ptr(req.Ptr), buf, len(buf)), 0)
-}
-
-// handleDtoH bridges the download and streams the bytes back as Data
-// frames after the OK response.
-func (c *conn) handleDtoH(req hix.Request) error {
-	if req.Len == 0 || req.Len > c.srv.cfg.MaxTransfer {
-		c.send(wire.OpError, wire.EncodeError(wire.ECodeRequest,
-			fmt.Sprintf("DtoH length %d out of range (max %d)", req.Len, c.srv.cfg.MaxTransfer)))
-		return fmt.Errorf("DtoH length %d out of range", req.Len)
-	}
-	buf := make([]byte, req.Len)
-	err := c.sess.MemcpyDtoH(buf, hixrt.Ptr(req.Ptr), len(buf))
-	if rerr := c.replyErr(err, 0); rerr != nil {
-		return rerr
-	}
-	if err != nil {
-		return nil // error response sent; no payload follows
-	}
-	for off := 0; off < len(buf); off += c.srv.cfg.MaxData {
-		end := min(off+c.srv.cfg.MaxData, len(buf))
-		if !c.send(wire.OpData, buf[off:end]) {
-			return errors.New("DtoH payload: send queue failed")
-		}
-	}
-	return nil
-}
-
-// replyErr maps a session-API error onto the wire, mirroring the
-// in-process error surface: auth failures become RespAuthFailed,
-// request refusals RespError; transport-level failures (closed session,
-// machine faults) are terminal and answer an Error frame instead.
-func (c *conn) replyErr(err error, value uint64) error {
-	switch {
-	case err == nil:
-		return c.reply(hix.Response{Status: hix.RespOK, Value: value})
-	case errors.Is(err, hixrt.ErrAuth):
-		return c.reply(hix.Response{Status: hix.RespAuthFailed})
-	case errors.Is(err, hixrt.ErrRequest):
-		return c.reply(hix.Response{Status: hix.RespError})
-	case errors.Is(err, hixrt.ErrClosed):
-		c.send(wire.OpError, wire.EncodeError(wire.ECodeRequest, "session closed"))
-		return err
-	default:
-		c.send(wire.OpError, wire.EncodeError(wire.ECodeServer, err.Error()))
-		return err
-	}
-}
-
-// reply queues one Response frame, stamped with the session's simulated
-// completion instant so remote clients see sim time.
-func (c *conn) reply(resp hix.Response) error {
-	resp.CompleteNS = int64(c.sess.Now())
-	if !c.send(wire.OpResponse, resp.Encode()) {
 		return errors.New("netserve: send queue failed")
 	}
 	return nil

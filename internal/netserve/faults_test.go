@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/gpu"
-	"repro/internal/hix"
 	"repro/internal/hixrt"
 	"repro/internal/netserve"
 	"repro/internal/wire"
@@ -66,11 +65,10 @@ func TestMidPayloadPeerDeath(t *testing.T) {
 
 			r := dialRaw(t, addr)
 			r.hello()
-			req := hix.Request{Type: hix.ReqMemcpyHtoD, Ptr: 0, Len: uint64(2 * wire.MaxData)}
-			r.write(frame(byte(wire.OpRequest), req.Encode()))
+			r.write(htod(2 * wire.MaxData))
 			// First chunk arrives whole, then the peer dies before the
 			// final Data frame.
-			r.write(frame(byte(wire.OpData), make([]byte, wire.MaxData)))
+			r.write(tframe(wire.OpTData, 1, make([]byte, wire.MaxData)))
 			tc.abort(r)
 
 			// The healthy connection serves requests while the dead

@@ -112,21 +112,17 @@ type Config struct {
 	// 64 MiB); larger requests are a protocol violation.
 	MaxTransfer uint64
 	// MaxInFlight bounds concurrently outstanding tagged requests per
-	// v2 connection and is advertised in the v2 Welcome (default 32).
+	// connection and is advertised in the Welcome (default 32); 1 is
+	// lock-step.
 	MaxInFlight int
 	// MaxData bounds one Data frame's payload on this server,
 	// advertised in the Welcome (default wire.MaxData, which is also
 	// the hard cap). Smaller values trade per-frame overhead for
 	// finer-grained streaming — a latency/bench knob.
 	MaxData int
-	// MaxWireVersion caps the protocol version the server negotiates
-	// (0 means the newest it speaks). Setting it to wire.Version1
-	// forces lock-step connections — compatibility testing; capping at
-	// wire.Version2 disables resumption tickets entirely.
-	MaxWireVersion uint16
 
 	// TicketTTL bounds resumption-ticket life (default
-	// DefaultTicketTTL). Tickets are minted on every v3 Welcome and
+	// DefaultTicketTTL). Tickets are minted on every Welcome and
 	// accepted once within the TTL.
 	TicketTTL time.Duration
 	// TicketNowNanos injects the ticket clock (expiry + anti-replay
@@ -222,7 +218,7 @@ type Server struct {
 	// and OS bookkeeping happen in a deterministic, race-free order.
 	setupMu sync.Mutex
 
-	// tickets mints and validates session-resumption tickets (v3).
+	// tickets mints and validates session-resumption tickets.
 	tickets *ticketKeeper
 
 	// histMu guards loadHist, the per-request wall service-latency
@@ -275,9 +271,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.MaxData <= 0 || cfg.MaxData > wire.MaxData {
 		cfg.MaxData = wire.MaxData
-	}
-	if cfg.MaxWireVersion == 0 || cfg.MaxWireVersion > wire.MaxVersion {
-		cfg.MaxWireVersion = wire.MaxVersion
 	}
 	if cfg.AuthFailureThreshold == 0 {
 		cfg.AuthFailureThreshold = 4
@@ -770,7 +763,7 @@ func (s *Server) openSessionResumed(st resumeState, name string) (*hixrt.Session
 }
 
 // mintTicket seals a fresh resumption ticket for the session (called
-// on every v3 Welcome, full and resumed alike — tickets are single
+// on every Welcome, full and resumed alike — tickets are single
 // use, so each handshake hands out the next one).
 func (s *Server) mintTicket(sess *hixrt.Session, measure attest.Measurement) ([]byte, error) {
 	s.setupMu.Lock()

@@ -65,9 +65,6 @@ func TestRemoteWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Version() != wire.MaxVersion {
-		t.Fatalf("negotiated version %d, want %d", s.Version(), wire.MaxVersion)
-	}
 	if s.MaxInFlight() < 1 {
 		t.Fatalf("MaxInFlight %d, want >= 1", s.MaxInFlight())
 	}
@@ -299,24 +296,23 @@ func (r *rawConn) write(raw []byte) {
 	}
 }
 
-// hello performs a v1-capped handshake: the raw cases below exercise
-// the lock-step protocol by hand, so they pin the version rather than
-// negotiate up to the pipelined transport.
+// hello performs the handshake by hand and asserts the server answered
+// with the protocol version and a window.
 func (r *rawConn) hello() {
 	r.t.Helper()
-	h := wire.Hello{MinVersion: wire.MinVersion, MaxVersion: wire.Version1,
+	h := wire.Hello{MinVersion: wire.Version, MaxVersion: wire.Version,
 		Measurement: hixrt.DefaultRemoteMeasurement()}
-	var buf bytes.Buffer
-	if err := wire.WriteFrame(&buf, wire.OpHello, h.Encode()); err != nil {
-		r.t.Fatal(err)
-	}
-	r.write(buf.Bytes())
+	r.write(frame(byte(wire.OpHello), h.Encode()))
 	op, body, err := wire.ReadFrame(r.nc)
 	if err != nil || op != wire.OpWelcome {
 		r.t.Fatalf("handshake: op=%v err=%v", op, err)
 	}
-	if _, err := wire.DecodeWelcome(body); err != nil {
+	w, err := wire.DecodeWelcome(body)
+	if err != nil {
 		r.t.Fatal(err)
+	}
+	if w.Version != wire.Version || w.MaxInFlight < 1 {
+		r.t.Fatalf("welcome %+v, want version %d with a window", w, wire.Version)
 	}
 }
 
@@ -340,6 +336,26 @@ func (r *rawConn) expectError(code uint32) {
 	}
 }
 
+// expectBadRequest reads one tagged Response and asserts it echoes tag
+// with RespBadRequest.
+func (r *rawConn) expectBadRequest(tag uint32) {
+	r.t.Helper()
+	op, body, err := wire.ReadFrame(r.nc)
+	if err != nil || op != wire.OpTResponse {
+		r.t.Fatalf("op=%v err=%v, want tagged response", op, err)
+	}
+	got, rest, err := wire.SplitTag(body)
+	if err != nil || got != tag {
+		r.t.Fatalf("tag=%d err=%v, want %d", got, err, tag)
+	}
+	resp, err := hix.DecodeResponse(rest)
+	if err != nil || resp.Status != hix.RespBadRequest {
+		r.t.Fatalf("resp=%+v err=%v, want RespBadRequest", resp, err)
+	}
+}
+
+// frame builds a raw frame around any opcode byte, including ones the
+// wire package refuses to encode.
 func frame(op byte, body []byte) []byte {
 	raw := make([]byte, wire.HeaderSize+len(body))
 	binary.LittleEndian.PutUint32(raw, uint32(len(body)))
@@ -348,134 +364,37 @@ func frame(op byte, body []byte) []byte {
 	return raw
 }
 
-// TestMalformedFrames throws protocol garbage at a live server: every
-// case must yield a typed error frame (or a clean disconnect for
-// truncation) and must never panic or wedge the server — a well-formed
-// client is served afterwards in each case.
-func TestMalformedFrames(t *testing.T) {
+// tframe builds a raw tagged frame: outer header, then the tag as the
+// first four body bytes.
+func tframe(op wire.Opcode, tag uint32, body []byte) []byte {
+	return frame(byte(op), append(binary.LittleEndian.AppendUint32(nil, tag), body...))
+}
+
+// htod builds a tagged HtoD request (tag 1) announcing n payload bytes.
+func htod(n uint64) []byte {
+	req := hix.Request{Type: hix.ReqMemcpyHtoD, Len: n}
+	return tframe(wire.OpTRequest, 1, req.Encode())
+}
+
+// malformedCase is one hand-driven protocol violation. The server must
+// answer with a typed error frame (or a clean disconnect for
+// truncation), never panic or wedge, and serve a well-formed client
+// afterwards.
+type malformedCase struct {
+	name string
+	run  func(t *testing.T, r *rawConn)
+}
+
+// served wraps a case that runs after a good handshake.
+func served(name string, run func(t *testing.T, r *rawConn)) malformedCase {
+	return malformedCase{name, func(t *testing.T, r *rawConn) {
+		r.hello()
+		run(t, r)
+	}}
+}
+
+func runMalformed(t *testing.T, cases []malformedCase) {
 	_, addr := startServer(t, netserve.Config{ReadTimeout: 1 * time.Second})
-
-	helloBody := func(mutate func([]byte)) []byte {
-		h := wire.Hello{MinVersion: wire.MinVersion, MaxVersion: wire.MaxVersion}
-		b := h.Encode()
-		if mutate != nil {
-			mutate(b)
-		}
-		return b
-	}
-
-	cases := []struct {
-		name string
-		run  func(t *testing.T, r *rawConn)
-	}{
-		{"oversized frame", func(t *testing.T, r *rawConn) {
-			hdr := make([]byte, wire.HeaderSize)
-			binary.LittleEndian.PutUint32(hdr, wire.MaxBody+1)
-			hdr[4] = byte(wire.OpHello)
-			r.write(hdr)
-			r.expectError(wire.ECodeProto)
-		}},
-		{"unknown opcode", func(t *testing.T, r *rawConn) {
-			r.write(frame(99, nil))
-			r.expectError(wire.ECodeProto)
-		}},
-		{"first frame not hello", func(t *testing.T, r *rawConn) {
-			r.write(frame(byte(wire.OpData), []byte("x")))
-			r.expectError(wire.ECodeProto)
-		}},
-		{"hello bad magic", func(t *testing.T, r *rawConn) {
-			body := helloBody(func(b []byte) { b[0] ^= 0xff })
-			r.write(frame(byte(wire.OpHello), body))
-			r.expectError(wire.ECodeProto)
-		}},
-		{"hello bad length", func(t *testing.T, r *rawConn) {
-			r.write(frame(byte(wire.OpHello), []byte{1, 2, 3}))
-			r.expectError(wire.ECodeProto)
-		}},
-		{"hello zero min version", func(t *testing.T, r *rawConn) {
-			body := helloBody(func(b []byte) { binary.LittleEndian.PutUint16(b[4:], 0) })
-			r.write(frame(byte(wire.OpHello), body))
-			r.expectError(wire.ECodeVersion)
-		}},
-		{"version range unsatisfiable", func(t *testing.T, r *rawConn) {
-			body := helloBody(func(b []byte) {
-				binary.LittleEndian.PutUint16(b[4:], wire.MaxVersion+1)
-				binary.LittleEndian.PutUint16(b[6:], wire.MaxVersion+5)
-			})
-			r.write(frame(byte(wire.OpHello), body))
-			r.expectError(wire.ECodeVersion)
-		}},
-		{"truncated header then close", func(t *testing.T, r *rawConn) {
-			r.write([]byte{1, 2})
-			r.nc.Close()
-		}},
-		{"truncated body then close", func(t *testing.T, r *rawConn) {
-			r.write(frame(byte(wire.OpHello), helloBody(nil))[:wire.HeaderSize+4])
-			r.nc.Close()
-		}},
-		{"idle handshake timeout", func(t *testing.T, r *rawConn) {
-			_ = r.nc.SetDeadline(time.Now().Add(4 * time.Second))
-			r.expectError(wire.ECodeProto) // idle timeout after ReadTimeout
-		}},
-		{"post-handshake non-request", func(t *testing.T, r *rawConn) {
-			r.hello()
-			r.write(frame(byte(wire.OpWelcome), nil))
-			r.expectError(wire.ECodeProto)
-		}},
-		{"malformed request body", func(t *testing.T, r *rawConn) {
-			r.hello()
-			r.write(frame(byte(wire.OpRequest), []byte("short")))
-			r.expectError(wire.ECodeProto)
-		}},
-		{"synthetic flag rejected", func(t *testing.T, r *rawConn) {
-			r.hello()
-			req := hix.Request{Type: hix.ReqMemcpyHtoD, Len: 16, Flags: gpu.FlagSynthetic}
-			r.write(frame(byte(wire.OpRequest), req.Encode()))
-			op, body, err := wire.ReadFrame(r.nc)
-			if err != nil || op != wire.OpResponse {
-				t.Fatalf("op=%v err=%v", op, err)
-			}
-			resp, err := hix.DecodeResponse(body)
-			if err != nil || resp.Status != hix.RespBadRequest {
-				t.Fatalf("resp=%+v err=%v, want RespBadRequest", resp, err)
-			}
-		}},
-		{"huge HtoD length", func(t *testing.T, r *rawConn) {
-			r.hello()
-			req := hix.Request{Type: hix.ReqMemcpyHtoD, Len: 1 << 40}
-			r.write(frame(byte(wire.OpRequest), req.Encode()))
-			r.expectError(wire.ECodeRequest)
-		}},
-		{"HtoD payload overrun", func(t *testing.T, r *rawConn) {
-			r.hello()
-			req := hix.Request{Type: hix.ReqMemcpyHtoD, Ptr: 0, Len: 4}
-			r.write(frame(byte(wire.OpRequest), req.Encode()))
-			r.write(frame(byte(wire.OpData), make([]byte, 64)))
-			r.expectError(wire.ECodeProto)
-		}},
-		{"HtoD short chunk desync", func(t *testing.T, r *rawConn) {
-			// A Data frame smaller than the exact expected chunk is a
-			// framing desync, not a valid partial delivery.
-			r.hello()
-			req := hix.Request{Type: hix.ReqMemcpyHtoD, Ptr: 0, Len: 8}
-			r.write(frame(byte(wire.OpRequest), req.Encode()))
-			r.write(frame(byte(wire.OpData), make([]byte, 4)))
-			r.expectError(wire.ECodeProto)
-		}},
-		{"unknown request type", func(t *testing.T, r *rawConn) {
-			r.hello()
-			req := hix.Request{Type: 200}
-			r.write(frame(byte(wire.OpRequest), req.Encode()))
-			op, body, err := wire.ReadFrame(r.nc)
-			if err != nil || op != wire.OpResponse {
-				t.Fatalf("op=%v err=%v", op, err)
-			}
-			resp, err := hix.DecodeResponse(body)
-			if err != nil || resp.Status != hix.RespBadRequest {
-				t.Fatalf("resp=%+v err=%v, want RespBadRequest", resp, err)
-			}
-		}},
-	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.run(t, dialRaw(t, addr))
@@ -492,6 +411,125 @@ func TestMalformedFrames(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestMalformedFrames throws protocol garbage at a live server, before
+// and after the handshake.
+func TestMalformedFrames(t *testing.T) {
+	helloBody := func(mutate func([]byte)) []byte {
+		h := wire.Hello{MinVersion: wire.Version, MaxVersion: wire.Version}
+		b := h.Encode()
+		if mutate != nil {
+			mutate(b)
+		}
+		return b
+	}
+	helloRange := func(lo, hi uint16) []byte {
+		return helloBody(func(b []byte) {
+			binary.LittleEndian.PutUint16(b[4:], lo)
+			binary.LittleEndian.PutUint16(b[6:], hi)
+		})
+	}
+	cases := []malformedCase{
+		{"oversized frame", func(t *testing.T, r *rawConn) {
+			hdr := make([]byte, wire.HeaderSize)
+			binary.LittleEndian.PutUint32(hdr, wire.MaxBody+1)
+			hdr[4] = byte(wire.OpHello)
+			r.write(hdr)
+			r.expectError(wire.ECodeProto)
+		}},
+		{"unknown opcode", func(t *testing.T, r *rawConn) {
+			r.write(frame(99, nil))
+			r.expectError(wire.ECodeProto)
+		}},
+		{"first frame not hello", func(t *testing.T, r *rawConn) {
+			r.write(tframe(wire.OpTData, 1, []byte("x")))
+			r.expectError(wire.ECodeProto)
+		}},
+		{"hello bad magic", func(t *testing.T, r *rawConn) {
+			body := helloBody(func(b []byte) { b[0] ^= 0xff })
+			r.write(frame(byte(wire.OpHello), body))
+			r.expectError(wire.ECodeProto)
+		}},
+		{"hello bad length", func(t *testing.T, r *rawConn) {
+			r.write(frame(byte(wire.OpHello), []byte{1, 2, 3}))
+			r.expectError(wire.ECodeProto)
+		}},
+		{"hello zero min version", func(t *testing.T, r *rawConn) {
+			r.write(frame(byte(wire.OpHello), helloRange(0, wire.Version)))
+			r.expectError(wire.ECodeVersion)
+		}},
+		{"version range unsatisfiable", func(t *testing.T, r *rawConn) {
+			r.write(frame(byte(wire.OpHello), helloRange(wire.Version+1, wire.Version+5)))
+			r.expectError(wire.ECodeVersion)
+		}},
+		{"hello offering only retired versions", func(t *testing.T, r *rawConn) {
+			r.write(frame(byte(wire.OpHello), helloRange(1, 2)))
+			r.expectError(wire.ECodeVersion)
+		}},
+		{"truncated header then close", func(t *testing.T, r *rawConn) {
+			r.write([]byte{1, 2})
+			r.nc.Close()
+		}},
+		{"truncated body then close", func(t *testing.T, r *rawConn) {
+			r.write(frame(byte(wire.OpHello), helloBody(nil))[:wire.HeaderSize+4])
+			r.nc.Close()
+		}},
+		{"idle handshake timeout", func(t *testing.T, r *rawConn) {
+			_ = r.nc.SetDeadline(time.Now().Add(4 * time.Second))
+			r.expectError(wire.ECodeProto) // idle timeout after ReadTimeout
+		}},
+		served("post-handshake non-request", func(t *testing.T, r *rawConn) {
+			r.write(frame(byte(wire.OpWelcome), nil))
+			r.expectError(wire.ECodeProto)
+		}),
+		served("malformed request body", func(t *testing.T, r *rawConn) {
+			r.write(tframe(wire.OpTRequest, 1, []byte("short")))
+			r.expectError(wire.ECodeProto)
+		}),
+		served("synthetic flag rejected", func(t *testing.T, r *rawConn) {
+			req := hix.Request{Type: hix.ReqMemcpyHtoD, Len: 16, Flags: gpu.FlagSynthetic}
+			r.write(tframe(wire.OpTRequest, 7, req.Encode()))
+			r.expectBadRequest(7)
+		}),
+		served("zero HtoD length", func(t *testing.T, r *rawConn) {
+			r.write(htod(0))
+			r.expectError(wire.ECodeRequest)
+		}),
+		served("huge HtoD length", func(t *testing.T, r *rawConn) {
+			r.write(htod(1 << 40))
+			r.expectError(wire.ECodeRequest)
+		}),
+		served("HtoD payload overrun", func(t *testing.T, r *rawConn) {
+			r.write(htod(4))
+			r.write(tframe(wire.OpTData, 1, make([]byte, 64)))
+			r.expectError(wire.ECodeProto)
+		}),
+		served("HtoD short chunk desync", func(t *testing.T, r *rawConn) {
+			// A Data frame smaller than the exact expected chunk is a
+			// framing desync, not a valid partial delivery.
+			r.write(htod(8))
+			r.write(tframe(wire.OpTData, 1, make([]byte, 4)))
+			r.expectError(wire.ECodeProto)
+		}),
+		served("unknown request type", func(t *testing.T, r *rawConn) {
+			req := hix.Request{Type: 200}
+			r.write(tframe(wire.OpTRequest, 3, req.Encode()))
+			r.expectBadRequest(3)
+		}),
+	}
+	// The untagged request/response/data opcodes of the retired lock-step
+	// plane are unknown opcodes wherever they appear.
+	for _, op := range []byte{3, 4, 5} {
+		refused := func(t *testing.T, r *rawConn) {
+			r.write(frame(op, []byte("x")))
+			r.expectError(wire.ECodeProto)
+		}
+		cases = append(cases,
+			malformedCase{fmt.Sprintf("retired opcode %d before handshake", op), refused},
+			served(fmt.Sprintf("retired opcode %d after handshake", op), refused))
+	}
+	runMalformed(t, cases)
 }
 
 // TestRemoteMatchesInProcess is the identity gate at unit-test scale:

@@ -22,11 +22,11 @@ func (l *loopReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// BenchmarkReadFrame contrasts the allocating v1 reader with the
-// pooled path: ReadFramePooled must report 0 allocs/op.
+// BenchmarkReadFrame contrasts the allocating reader with the pooled
+// path: FrameReader.Next must report 0 allocs/op.
 func BenchmarkReadFrame(b *testing.B) {
 	var enc bytes.Buffer
-	if err := WriteFrame(&enc, OpData, bytes.Repeat([]byte{0xab}, MaxData)); err != nil {
+	if err := WriteFrame(&enc, OpTData, bytes.Repeat([]byte{0xab}, MaxData)); err != nil {
 		b.Fatal(err)
 	}
 
@@ -55,7 +55,7 @@ func BenchmarkReadFrame(b *testing.B) {
 	})
 }
 
-// BenchmarkWriteFrame contrasts the two-write v1 encoder with the
+// BenchmarkWriteFrame contrasts the two-write WriteFrame with the
 // FrameWriter's vectored path: the FrameWriter must report 0
 // allocs/op for both small (buffered) and large (vectored) bodies.
 func BenchmarkWriteFrame(b *testing.B) {
@@ -66,7 +66,7 @@ func BenchmarkWriteFrame(b *testing.B) {
 		b.SetBytes(int64(HeaderSize + len(large)))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if err := WriteFrame(io.Discard, OpData, large); err != nil {
+			if err := WriteFrame(io.Discard, OpTData, large); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -76,7 +76,7 @@ func BenchmarkWriteFrame(b *testing.B) {
 		b.SetBytes(int64(HeaderSize + len(small)))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if err := fw.WriteFrame(OpData, small); err != nil {
+			if err := fw.WriteFrame(OpTData, small); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -89,7 +89,7 @@ func BenchmarkWriteFrame(b *testing.B) {
 		b.SetBytes(int64(HeaderSize + len(large)))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if err := fw.WriteFrame(OpData, large); err != nil {
+			if err := fw.WriteFrame(OpTData, large); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -1,6 +1,6 @@
 // Package wire is the network protocol of the HIX serving layer: a
-// versioned, length-prefixed binary framing spoken between a remote
-// client (hixrt.Dial) and the hixserve front-end (internal/netserve).
+// length-prefixed binary framing spoken between a remote client
+// (hixrt.Dial) and the hixserve front-end (internal/netserve).
 //
 // The TCP link models the application↔user-enclave boundary of a
 // client/server confidential-offload deployment (the RPC split Gramine
@@ -18,23 +18,25 @@
 //	uint8   opcode
 //	[]byte  body
 //
-// The handshake is one Hello frame from the client (magic, the version
-// range it speaks, its attestation measurement) answered by one Welcome
-// frame from the server (magic, the negotiated version, session id,
-// transfer geometry, the GPU enclave's measurement) or an Error frame.
+// There is one protocol, Version. The handshake is one Hello frame from
+// the client (magic, the version range it speaks, its attestation
+// measurement, an optional resumption ticket) answered by one Welcome
+// frame from the server (magic, Version, session id, transfer geometry,
+// the in-flight window MaxInFlight, the GPU enclave's measurement,
+// whether the ticket was honored, a fresh ticket) or an Error frame.
 // Decoding is strict: frames above MaxBody, unknown opcodes, short
-// reads, bad magic, and unsatisfiable version ranges all surface as
-// typed errors — never panics.
+// reads, bad magic, and version ranges that exclude Version all surface
+// as typed errors — never panics.
 //
-// Version 2 adds pipelining: the tagged opcodes (OpTRequest,
-// OpTResponse, OpTData) carry a uint32 tag directly after the opcode —
-// encoded as the first TagSize bytes of the frame body, so the outer
-// 5-byte framing (and anything that parses it, like the fault plane's
-// stream scanner) is identical across versions. Tags let a connection
-// keep many requests in flight and match replies out of order; the
-// server's in-flight bound travels in the v2 Welcome (MaxInFlight).
-// Version negotiation is unchanged, and a v2 implementation talking to
-// a v1 peer falls back to the untagged lock-step opcodes.
+// After the handshake every request, response and payload chunk is a
+// tagged frame (OpTRequest, OpTResponse, OpTData): a uint32 tag directly
+// after the opcode, encoded as the first TagSize bytes of the frame
+// body, so anything that parses only the outer 5-byte framing (like the
+// fault plane's stream scanner) never sees it. Tags let a connection
+// keep up to MaxInFlight requests outstanding and match replies out of
+// order; lock-step is the same transport at a window of 1. Error and
+// Goodbye frames are untagged: they condemn or end the connection, not
+// one request.
 package wire
 
 import (
@@ -53,27 +55,18 @@ import (
 const (
 	// Magic opens every Hello and Welcome body ("HIXW").
 	Magic = 0x48495857
-	// Version1 is the first protocol version: strict lock-step, one
-	// request/response exchange in flight per connection.
-	Version1 = 1
-	// Version2 adds tagged frames (pipelined requests with out-of-order
-	// completion) and the MaxInFlight bound in the Welcome.
-	Version2 = 2
-	// Version3 adds session resumption: the Hello may present an opaque
-	// resumption ticket and the Welcome reports whether it was honored
-	// and carries a fresh ticket for the next redial.
-	Version3 = 3
-	// MaxVersion is the newest version this implementation speaks.
-	MaxVersion = Version3
-	// MinVersion is the oldest version this implementation accepts.
-	MinVersion = Version1
+	// Version is the one protocol version this implementation speaks:
+	// tagged frames, the MaxInFlight window in the Welcome, and an
+	// optional resumption ticket in Hello and Welcome. A Hello whose
+	// version range excludes it is refused.
+	Version = 3
 )
 
 // Frame geometry.
 const (
 	// HeaderSize is the fixed frame header: uint32 length + uint8 opcode.
 	HeaderSize = 5
-	// TagSize is the width of the request tag tagged (v2) frames carry
+	// TagSize is the width of the request tag tagged frames carry
 	// directly after the opcode, as the leading bytes of the body.
 	TagSize = 4
 	// MaxBody bounds one frame's body. A decoder must reject larger
@@ -85,8 +78,8 @@ const (
 	// Servers may advertise a smaller per-connection bound in the
 	// Welcome, but never a larger one.
 	MaxData = 256 << 10
-	// MaxTicket bounds the opaque resumption ticket a v3 Hello or
-	// Welcome may carry. Real tickets are ~120 bytes; the bound exists
+	// MaxTicket bounds the opaque resumption ticket a Hello or Welcome
+	// may carry. Real tickets are ~120 bytes; the bound exists
 	// so a hostile peer cannot pad the handshake.
 	MaxTicket = 256
 )
@@ -94,31 +87,31 @@ const (
 // Opcode identifies a frame type.
 type Opcode uint8
 
+// Opcode bytes are wire-stable. 3, 4 and 5 were the untagged
+// request/response/data frames of the retired lock-step plane; they are
+// never reassigned and decode as ErrUnknownOpcode.
 const (
 	// OpHello is the client's opening frame.
-	OpHello Opcode = iota + 1
+	OpHello Opcode = 1
 	// OpWelcome is the server's handshake acceptance.
-	OpWelcome
-	// OpRequest carries one hix.Request encoding.
-	OpRequest
-	// OpResponse carries one hix.Response encoding.
-	OpResponse
-	// OpData carries one payload chunk of a bulk transfer.
-	OpData
+	OpWelcome Opcode = 2
 	// OpError carries a terminal error (code + message).
-	OpError
+	OpError Opcode = 6
 	// OpGoodbye tells the client the server is draining and will accept
 	// no further requests on this connection.
-	OpGoodbye
-	// OpTRequest is the tagged (v2) form of OpRequest: tag + request.
-	OpTRequest
-	// OpTResponse is the tagged (v2) form of OpResponse: tag + response.
-	OpTResponse
-	// OpTData is the tagged (v2) form of OpData: tag + payload chunk.
-	OpTData
-
-	opMax = OpTData
+	OpGoodbye Opcode = 7
+	// OpTRequest carries a tag and one hix.Request encoding.
+	OpTRequest Opcode = 8
+	// OpTResponse carries a tag and one hix.Response encoding.
+	OpTResponse Opcode = 9
+	// OpTData carries a tag and one payload chunk of a bulk transfer.
+	OpTData Opcode = 10
 )
+
+// known reports whether o is an opcode of the protocol.
+func (o Opcode) known() bool {
+	return o == OpHello || o == OpWelcome || (o >= OpError && o <= OpTData)
+}
 
 // Tagged reports whether op carries a leading uint32 tag in its body.
 func (o Opcode) Tagged() bool { return o >= OpTRequest && o <= OpTData }
@@ -129,12 +122,6 @@ func (o Opcode) String() string {
 		return "hello"
 	case OpWelcome:
 		return "welcome"
-	case OpRequest:
-		return "request"
-	case OpResponse:
-		return "response"
-	case OpData:
-		return "data"
 	case OpError:
 		return "error"
 	case OpGoodbye:
@@ -160,7 +147,7 @@ var (
 	ErrUnknownOpcode = errors.New("wire: unknown opcode")
 	// ErrBadMagic reports a handshake body not starting with Magic.
 	ErrBadMagic = errors.New("wire: bad magic")
-	// ErrVersion reports an unsatisfiable version negotiation.
+	// ErrVersion reports a peer that does not speak Version.
 	ErrVersion = errors.New("wire: unsupported protocol version")
 	// ErrBadFrame reports a structurally invalid frame body.
 	ErrBadFrame = errors.New("wire: malformed frame body")
@@ -182,7 +169,7 @@ func SplitTag(body []byte) (uint32, []byte, error) {
 const (
 	// ECodeProto: the peer violated the framing or protocol state.
 	ECodeProto uint32 = iota + 1
-	// ECodeVersion: version negotiation failed.
+	// ECodeVersion: the client's version range excludes Version.
 	ECodeVersion
 	// ECodeAuth: session setup or message authentication failed.
 	ECodeAuth
@@ -209,7 +196,7 @@ func WriteFrame(w io.Writer, op Opcode, body []byte) error {
 	if len(body) > MaxBody {
 		return fmt.Errorf("%w: %d bytes", ErrFrameTooBig, len(body))
 	}
-	if op == 0 || op > opMax {
+	if !op.known() {
 		return fmt.Errorf("%w: %d", ErrUnknownOpcode, op)
 	}
 	var hdr [HeaderSize]byte
@@ -242,7 +229,7 @@ func ReadFrame(r io.Reader) (Opcode, []byte, error) {
 	if n > MaxBody {
 		return 0, nil, fmt.Errorf("%w: %d bytes (limit %d)", ErrFrameTooBig, n, MaxBody)
 	}
-	if op == 0 || op > opMax {
+	if !op.known() {
 		return 0, nil, fmt.Errorf("%w: %d", ErrUnknownOpcode, uint8(op))
 	}
 	if n == 0 {
@@ -256,7 +243,7 @@ func ReadFrame(r io.Reader) (Opcode, []byte, error) {
 }
 
 // Buf is a pooled frame body. Ownership contract: whoever obtains a
-// Buf (from GetBuf or ReadFramePooled) owns it and must call Release
+// Buf (from GetBuf or FrameReader.Next) owns it and must call Release
 // exactly once when done — after that the backing bytes may be handed
 // to another frame, so neither Bytes() nor any sub-slice of it may be
 // retained across Release. Handing a Buf to another goroutine hands
@@ -265,9 +252,14 @@ type Buf struct {
 	b []byte
 }
 
-// Bytes returns the buffer contents. The slice is only valid until
-// Release.
-func (b *Buf) Bytes() []byte { return b.b }
+// Bytes returns the buffer contents (nil for the nil Buf of an empty
+// frame body). The slice is only valid until Release.
+func (b *Buf) Bytes() []byte {
+	if b == nil {
+		return nil
+	}
+	return b.b
+}
 
 // Release returns the buffer to the pool. The Buf and any slice
 // previously returned by Bytes must not be used afterwards.
@@ -299,17 +291,6 @@ func GetBuf(n int) *Buf {
 	return b
 }
 
-// ReadFramePooled is ReadFrame with the body read into a pooled
-// buffer. Empty bodies return a nil *Buf (Release on nil is a no-op).
-// The caller owns the returned Buf — see the ownership contract on
-// Buf. The body is pooled but the stack header buffer still escapes
-// through the io.Reader call; the truly zero-allocation read path is a
-// persistent FrameReader.
-func ReadFramePooled(r io.Reader) (Opcode, *Buf, error) {
-	fr := FrameReader{r: r}
-	return fr.Next()
-}
-
 // FrameReader reads frames into pooled buffers through a persistent
 // header scratch, so the steady-state read path performs zero
 // allocations per frame. Not safe for concurrent use.
@@ -337,7 +318,7 @@ func (fr *FrameReader) Next() (Opcode, *Buf, error) {
 	if n > MaxBody {
 		return 0, nil, fmt.Errorf("%w: %d bytes (limit %d)", ErrFrameTooBig, n, MaxBody)
 	}
-	if op == 0 || op > opMax {
+	if !op.known() {
 		return 0, nil, fmt.Errorf("%w: %d", ErrUnknownOpcode, uint8(op))
 	}
 	if n == 0 {
@@ -388,7 +369,7 @@ func (fw *FrameWriter) WriteFrame(op Opcode, body []byte) error {
 	return fw.frame(op, 0, false, body)
 }
 
-// WriteTagged buffers one tagged (v2) frame: the tag is encoded as the
+// WriteTagged buffers one tagged frame: the tag is encoded as the
 // leading TagSize bytes of the body.
 func (fw *FrameWriter) WriteTagged(op Opcode, tag uint32, body []byte) error {
 	if !op.Tagged() {
@@ -410,7 +391,7 @@ func (fw *FrameWriter) frame(op Opcode, tag uint32, tagged bool, body []byte) er
 	if bodyLen > MaxBody {
 		return fmt.Errorf("%w: %d bytes", ErrFrameTooBig, bodyLen)
 	}
-	if op == 0 || op > opMax {
+	if !op.known() {
 		return fmt.Errorf("%w: %d", ErrUnknownOpcode, op)
 	}
 	binary.LittleEndian.PutUint32(fw.hdr[0:], uint32(bodyLen))
@@ -441,49 +422,39 @@ func (fw *FrameWriter) frame(op Opcode, tag uint32, tagged bool, body []byte) er
 	return err
 }
 
-// Hello is the client's handshake: the version range it speaks and its
+// Hello is the client's handshake: the version range it speaks, its
 // attestation measurement, which the server uses as the identity (and
-// measured image) of the user enclave it hosts for this connection.
-// A client offering Version3 or newer appends an opaque resumption
-// ticket (possibly empty); clients capped below v3 emit the exact
-// legacy 40-byte body, so an old server never sees the extension.
+// measured image) of the user enclave it hosts for this connection, and
+// an opaque resumption ticket from a previous Welcome (empty on first
+// connect).
 type Hello struct {
 	MinVersion  uint16
 	MaxVersion  uint16
 	Measurement attest.Measurement
-	Ticket      []byte // v3+: opaque resumption ticket, empty on first connect
+	Ticket      []byte
 }
 
-const helloSize = 4 + 2 + 2 + len(attest.Measurement{})
+// helloSize is the fixed part of a Hello body; the ticket follows it.
+const helloSize = 4 + 2 + 2 + len(attest.Measurement{}) + 2
 
-// Encode serializes the Hello body. The layout is version-dependent:
-// offering MaxVersion >= 3 appends `uint16 ticket length + ticket`
-// after the legacy body (even when the ticket is empty), while a
-// lower offer produces the legacy body byte-for-byte.
+// Encode serializes the Hello body: the fixed part ends in the uint16
+// ticket length, then the ticket.
 func (h *Hello) Encode() []byte {
-	size := helloSize
-	if h.MaxVersion >= Version3 {
-		size += 2 + len(h.Ticket)
-	}
-	buf := make([]byte, size)
+	buf := make([]byte, helloSize+len(h.Ticket))
 	le := binary.LittleEndian
 	le.PutUint32(buf[0:], Magic)
 	le.PutUint16(buf[4:], h.MinVersion)
 	le.PutUint16(buf[6:], h.MaxVersion)
 	copy(buf[8:], h.Measurement[:])
-	if h.MaxVersion >= Version3 {
-		le.PutUint16(buf[helloSize:], uint16(len(h.Ticket)))
-		copy(buf[helloSize+2:], h.Ticket)
-	}
+	le.PutUint16(buf[helloSize-2:], uint16(len(h.Ticket)))
+	copy(buf[helloSize:], h.Ticket)
 	return buf
 }
 
-// DecodeHello parses and validates a Hello body. Legacy exact-40-byte
-// bodies parse as before; the extended form is only legal when the
-// declared MaxVersion is 3 or newer and must match its own declared
-// ticket length exactly.
+// DecodeHello parses and validates a Hello body, which must match its
+// own declared ticket length exactly.
 func DecodeHello(buf []byte) (Hello, error) {
-	if len(buf) != helloSize && len(buf) < helloSize+2 {
+	if len(buf) < helloSize {
 		return Hello{}, fmt.Errorf("%w: hello length %d", ErrBadFrame, len(buf))
 	}
 	le := binary.LittleEndian
@@ -497,54 +468,34 @@ func DecodeHello(buf []byte) (Hello, error) {
 	if h.MinVersion == 0 || h.MaxVersion < h.MinVersion {
 		return Hello{}, fmt.Errorf("%w: hello range [%d,%d]", ErrVersion, h.MinVersion, h.MaxVersion)
 	}
-	if len(buf) != helloSize {
-		if h.MaxVersion < Version3 {
-			return Hello{}, fmt.Errorf("%w: hello length %d for max version %d", ErrBadFrame, len(buf), h.MaxVersion)
-		}
-		tlen := int(le.Uint16(buf[helloSize:]))
-		if tlen > MaxTicket {
-			return Hello{}, fmt.Errorf("%w: hello ticket length %d > %d", ErrBadFrame, tlen, MaxTicket)
-		}
-		if len(buf) != helloSize+2+tlen {
-			return Hello{}, fmt.Errorf("%w: hello length %d != %d for ticket length %d", ErrBadFrame, len(buf), helloSize+2+tlen, tlen)
-		}
-		if tlen > 0 {
-			h.Ticket = append([]byte(nil), buf[helloSize+2:helloSize+2+tlen]...)
-		}
+	tlen := int(le.Uint16(buf[helloSize-2:]))
+	if tlen > MaxTicket {
+		return Hello{}, fmt.Errorf("%w: hello ticket length %d > %d", ErrBadFrame, tlen, MaxTicket)
+	}
+	if len(buf) != helloSize+tlen {
+		return Hello{}, fmt.Errorf("%w: hello length %d != %d for ticket length %d", ErrBadFrame, len(buf), helloSize+tlen, tlen)
+	}
+	if tlen > 0 {
+		h.Ticket = append([]byte(nil), buf[helloSize:]...)
 	}
 	return h, nil
 }
 
-// Negotiate picks the highest mutually spoken version for a client
-// offering [lo, hi], or fails with ErrVersion.
-func Negotiate(lo, hi uint16) (uint16, error) {
-	return NegotiateCapped(lo, hi, MaxVersion)
+// Negotiate accepts a client offering [lo, hi] if the range contains
+// Version, or fails with ErrVersion.
+func Negotiate(lo, hi uint16) error {
+	if lo > Version || hi < Version {
+		return fmt.Errorf("%w: client [%d,%d], server %d", ErrVersion, lo, hi, Version)
+	}
+	return nil
 }
 
-// NegotiateCapped is Negotiate for a server that caps its own spoken
-// version below MaxVersion (compatibility testing, staged rollout).
-func NegotiateCapped(lo, hi, max uint16) (uint16, error) {
-	if max > MaxVersion {
-		max = MaxVersion
-	}
-	v := max
-	if hi < v {
-		v = hi
-	}
-	if v < lo || v < MinVersion {
-		return 0, fmt.Errorf("%w: client [%d,%d], server [%d,%d]", ErrVersion, lo, hi, MinVersion, max)
-	}
-	return v, nil
-}
-
-// Welcome is the server's handshake acceptance: the negotiated version,
+// Welcome is the server's handshake acceptance: the protocol version,
 // the session the connection was bridged onto, the transfer geometry
-// the client needs to chunk payloads, and the GPU enclave's measurement
-// for the client's records. From Version2 on it also carries
-// MaxInFlight, the server's bound on concurrently outstanding tagged
-// requests per connection; a v1 Welcome omits the field (implicitly 1).
-// From Version3 on it also reports whether the presented ticket was
-// honored (Resumed) and carries a fresh single-use ticket for the
+// the client needs to chunk payloads, the server's bound on
+// concurrently outstanding tagged requests per connection, the GPU
+// enclave's measurement for the client's records, whether the presented
+// ticket was honored (Resumed), and a fresh single-use ticket for the
 // client's next redial.
 type Welcome struct {
 	Version     uint16
@@ -552,31 +503,24 @@ type Welcome struct {
 	SegmentSize uint64
 	ChunkSize   uint32 // data-path pipeline chunk (cost model CryptoChunk)
 	MaxData     uint32 // largest payload per Data frame
-	MaxInFlight uint16 // v2+: outstanding tagged requests per connection
 	Enclave     attest.Measurement
-	Resumed     bool   // v3+: the presented ticket skipped the full DH
-	Ticket      []byte // v3+: fresh resumption ticket for the next redial
+	MaxInFlight uint16 // outstanding tagged requests per connection
+	Resumed     bool   // the presented ticket skipped the full DH
+	Ticket      []byte // fresh resumption ticket for the next redial
 }
 
+// Welcome body offsets past the enclave measurement, and the size of
+// the fixed part; the ticket follows it.
 const (
-	welcomeSizeV1 = 4 + 2 + 4 + 8 + 4 + 4 + len(attest.Measurement{})
-	welcomeSizeV2 = welcomeSizeV1 + 2
-	welcomeSizeV3 = welcomeSizeV2 + 1 + 2 // + resumed flag + ticket length
+	welcomeInFlightOff = 4 + 2 + 4 + 8 + 4 + 4 + len(attest.Measurement{})
+	welcomeResumedOff  = welcomeInFlightOff + 2
+	welcomeSize        = welcomeResumedOff + 1 + 2
 )
 
-// Encode serializes the Welcome body. The layout is version-dependent:
-// the MaxInFlight field exists only when the negotiated Version is 2 or
-// newer, the resumed flag and ticket only from 3 on, so an old peer
-// sees exactly the body it expects.
+// Encode serializes the Welcome body: the fixed part ends in the
+// resumed flag and the uint16 ticket length, then the ticket.
 func (w *Welcome) Encode() []byte {
-	size := welcomeSizeV1
-	if w.Version >= Version2 {
-		size = welcomeSizeV2
-	}
-	if w.Version >= Version3 {
-		size = welcomeSizeV3 + len(w.Ticket)
-	}
-	buf := make([]byte, size)
+	buf := make([]byte, welcomeSize+len(w.Ticket))
 	le := binary.LittleEndian
 	le.PutUint32(buf[0:], Magic)
 	le.PutUint16(buf[4:], w.Version)
@@ -585,25 +529,19 @@ func (w *Welcome) Encode() []byte {
 	le.PutUint32(buf[18:], w.ChunkSize)
 	le.PutUint32(buf[22:], w.MaxData)
 	copy(buf[26:], w.Enclave[:])
-	if w.Version >= Version2 {
-		le.PutUint16(buf[26+len(w.Enclave):], w.MaxInFlight)
+	le.PutUint16(buf[welcomeInFlightOff:], w.MaxInFlight)
+	if w.Resumed {
+		buf[welcomeResumedOff] = 1
 	}
-	if w.Version >= Version3 {
-		if w.Resumed {
-			buf[welcomeSizeV2] = 1
-		}
-		le.PutUint16(buf[welcomeSizeV2+1:], uint16(len(w.Ticket)))
-		copy(buf[welcomeSizeV3:], w.Ticket)
-	}
+	le.PutUint16(buf[welcomeSize-2:], uint16(len(w.Ticket)))
+	copy(buf[welcomeSize:], w.Ticket)
 	return buf
 }
 
-// DecodeWelcome parses and validates a Welcome body. The expected
-// length depends on the version the body itself declares: v1 bodies
-// must not carry the MaxInFlight field, v2 bodies must, and v3 bodies
-// additionally carry the resumed flag plus a length-prefixed ticket.
+// DecodeWelcome parses and validates a Welcome body, which must declare
+// Version and match its own declared ticket length exactly.
 func DecodeWelcome(buf []byte) (Welcome, error) {
-	if len(buf) != welcomeSizeV1 && len(buf) != welcomeSizeV2 && len(buf) < welcomeSizeV3 {
+	if len(buf) < welcomeSize {
 		return Welcome{}, fmt.Errorf("%w: welcome length %d", ErrBadFrame, len(buf))
 	}
 	le := binary.LittleEndian
@@ -617,50 +555,32 @@ func DecodeWelcome(buf []byte) (Welcome, error) {
 	w.ChunkSize = le.Uint32(buf[18:])
 	w.MaxData = le.Uint32(buf[22:])
 	copy(w.Enclave[:], buf[26:])
-	if w.Version < MinVersion || w.Version > MaxVersion {
+	w.MaxInFlight = le.Uint16(buf[welcomeInFlightOff:])
+	if w.Version != Version {
 		return Welcome{}, fmt.Errorf("%w: welcome version %d", ErrVersion, w.Version)
 	}
-	switch {
-	case w.Version < Version2:
-		if len(buf) != welcomeSizeV1 {
-			return Welcome{}, fmt.Errorf("%w: welcome length %d for version %d (want %d)", ErrBadFrame, len(buf), w.Version, welcomeSizeV1)
-		}
-	case w.Version < Version3:
-		if len(buf) != welcomeSizeV2 {
-			return Welcome{}, fmt.Errorf("%w: welcome length %d for version %d (want %d)", ErrBadFrame, len(buf), w.Version, welcomeSizeV2)
-		}
-	default:
-		if len(buf) < welcomeSizeV3 {
-			return Welcome{}, fmt.Errorf("%w: welcome length %d for version %d (want >= %d)", ErrBadFrame, len(buf), w.Version, welcomeSizeV3)
-		}
-		tlen := int(le.Uint16(buf[welcomeSizeV2+1:]))
-		if tlen > MaxTicket {
-			return Welcome{}, fmt.Errorf("%w: welcome ticket length %d > %d", ErrBadFrame, tlen, MaxTicket)
-		}
-		if len(buf) != welcomeSizeV3+tlen {
-			return Welcome{}, fmt.Errorf("%w: welcome length %d != %d for ticket length %d", ErrBadFrame, len(buf), welcomeSizeV3+tlen, tlen)
-		}
+	tlen := int(le.Uint16(buf[welcomeSize-2:]))
+	if tlen > MaxTicket {
+		return Welcome{}, fmt.Errorf("%w: welcome ticket length %d > %d", ErrBadFrame, tlen, MaxTicket)
+	}
+	if len(buf) != welcomeSize+tlen {
+		return Welcome{}, fmt.Errorf("%w: welcome length %d != %d for ticket length %d", ErrBadFrame, len(buf), welcomeSize+tlen, tlen)
 	}
 	if w.MaxData == 0 || w.MaxData > MaxData {
 		return Welcome{}, fmt.Errorf("%w: welcome max data %d", ErrBadFrame, w.MaxData)
 	}
-	if w.Version >= Version2 {
-		w.MaxInFlight = le.Uint16(buf[26+len(w.Enclave):])
-		if w.MaxInFlight == 0 {
-			return Welcome{}, fmt.Errorf("%w: welcome max in-flight 0", ErrBadFrame)
-		}
+	if w.MaxInFlight == 0 {
+		return Welcome{}, fmt.Errorf("%w: welcome max in-flight 0", ErrBadFrame)
 	}
-	if w.Version >= Version3 {
-		switch buf[welcomeSizeV2] {
-		case 0:
-		case 1:
-			w.Resumed = true
-		default:
-			return Welcome{}, fmt.Errorf("%w: welcome resumed flag %d", ErrBadFrame, buf[welcomeSizeV2])
-		}
-		if tlen := int(le.Uint16(buf[welcomeSizeV2+1:])); tlen > 0 {
-			w.Ticket = append([]byte(nil), buf[welcomeSizeV3:welcomeSizeV3+tlen]...)
-		}
+	switch buf[welcomeResumedOff] {
+	case 0:
+	case 1:
+		w.Resumed = true
+	default:
+		return Welcome{}, fmt.Errorf("%w: welcome resumed flag %d", ErrBadFrame, buf[welcomeResumedOff])
+	}
+	if tlen > 0 {
+		w.Ticket = append([]byte(nil), buf[welcomeSize:]...)
 	}
 	return w, nil
 }

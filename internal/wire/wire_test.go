@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -14,7 +15,7 @@ import (
 func TestFrameRoundTrip(t *testing.T) {
 	bodies := [][]byte{nil, {}, {0x42}, bytes.Repeat([]byte{0xab}, MaxData)}
 	for _, body := range bodies {
-		for op := OpHello; op <= opMax; op++ {
+		for _, op := range []Opcode{OpHello, OpWelcome, OpError, OpGoodbye, OpTRequest, OpTResponse, OpTData} {
 			var buf bytes.Buffer
 			if err := WriteFrame(&buf, op, body); err != nil {
 				t.Fatalf("WriteFrame(%v, %d bytes): %v", op, len(body), err)
@@ -34,13 +35,13 @@ func TestFrameRoundTrip(t *testing.T) {
 func TestFrameSequencing(t *testing.T) {
 	var buf bytes.Buffer
 	for i := 0; i < 5; i++ {
-		if err := WriteFrame(&buf, OpData, []byte{byte(i)}); err != nil {
+		if err := WriteFrame(&buf, OpTData, []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 5; i++ {
 		op, body, err := ReadFrame(&buf)
-		if err != nil || op != OpData || len(body) != 1 || body[0] != byte(i) {
+		if err != nil || op != OpTData || len(body) != 1 || body[0] != byte(i) {
 			t.Fatalf("frame %d: op=%v body=%v err=%v", i, op, body, err)
 		}
 	}
@@ -64,13 +65,18 @@ func TestReadFrameMalformed(t *testing.T) {
 		want error
 	}{
 		{"empty", nil, io.EOF},
-		{"truncated header", header(1, byte(OpData))[:3], ErrShortFrame},
-		{"truncated body", append(header(100, byte(OpData)), 1, 2, 3), ErrShortFrame},
-		{"oversized", header(MaxBody+1, byte(OpData)), ErrFrameTooBig},
-		{"huge length", header(0xffff_ffff, byte(OpData)), ErrFrameTooBig},
+		{"truncated header", header(1, byte(OpTData))[:3], ErrShortFrame},
+		{"truncated body", append(header(100, byte(OpTData)), 1, 2, 3), ErrShortFrame},
+		{"oversized", header(MaxBody+1, byte(OpTData)), ErrFrameTooBig},
+		{"huge length", header(0xffff_ffff, byte(OpTData)), ErrFrameTooBig},
 		{"opcode zero", header(0, 0), ErrUnknownOpcode},
-		{"opcode unknown", header(0, byte(opMax)+1), ErrUnknownOpcode},
+		{"opcode unknown", header(0, byte(OpTData)+1), ErrUnknownOpcode},
 		{"opcode 255", header(4, 255), ErrUnknownOpcode},
+		// The untagged request/response/data opcodes of the retired
+		// lock-step plane sit in a gap of the opcode range.
+		{"retired opcode 3", header(0, 3), ErrUnknownOpcode},
+		{"retired opcode 4", append(header(1, 4), 0), ErrUnknownOpcode},
+		{"retired opcode 5", append(header(1, 5), 0), ErrUnknownOpcode},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -83,76 +89,80 @@ func TestReadFrameMalformed(t *testing.T) {
 }
 
 func TestWriteFrameRejectsOversize(t *testing.T) {
-	err := WriteFrame(io.Discard, OpData, make([]byte, MaxBody+1))
+	err := WriteFrame(io.Discard, OpTData, make([]byte, MaxBody+1))
 	if !errors.Is(err, ErrFrameTooBig) {
 		t.Fatalf("got %v, want ErrFrameTooBig", err)
 	}
-	if err := WriteFrame(io.Discard, 0, nil); !errors.Is(err, ErrUnknownOpcode) {
-		t.Fatalf("got %v, want ErrUnknownOpcode", err)
+	for _, op := range []Opcode{0, 3, 4, 5, OpTData + 1} {
+		if err := WriteFrame(io.Discard, op, nil); !errors.Is(err, ErrUnknownOpcode) {
+			t.Fatalf("opcode %d: got %v, want ErrUnknownOpcode", op, err)
+		}
 	}
 }
 
 func TestHelloRoundTrip(t *testing.T) {
-	for _, h := range []Hello{
-		{MinVersion: 1, MaxVersion: 2, Measurement: attest.Measure([]byte("client app"))},
-		{MinVersion: 1, MaxVersion: 3, Measurement: attest.Measure([]byte("client app"))},
-		{MinVersion: 1, MaxVersion: 3, Measurement: attest.Measure([]byte("client app")),
-			Ticket: []byte{0xde, 0xad, 0xbe, 0xef, 0x01}},
-	} {
+	for _, h := range helloSamples() {
 		enc := h.Encode()
-		if h.MaxVersion < Version3 && len(enc) != helloSize {
-			t.Fatalf("legacy hello encodes to %d bytes, want %d", len(enc), helloSize)
-		}
-		if h.MaxVersion >= Version3 && len(enc) != helloSize+2+len(h.Ticket) {
-			t.Fatalf("v3 hello encodes to %d bytes, want %d", len(enc), helloSize+2+len(h.Ticket))
+		if len(enc) != helloSize+len(h.Ticket) {
+			t.Fatalf("hello encodes to %d bytes, want %d", len(enc), helloSize+len(h.Ticket))
 		}
 		got, err := DecodeHello(enc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.MinVersion != h.MinVersion || got.MaxVersion != h.MaxVersion ||
-			got.Measurement != h.Measurement || !bytes.Equal(got.Ticket, h.Ticket) {
+		if !reflect.DeepEqual(got, h) {
 			t.Fatalf("got %+v, want %+v", got, h)
 		}
 	}
 }
 
-func TestDecodeHelloTicketMalformed(t *testing.T) {
-	// A legacy-length body that declares v3 still parses (an empty-ticket
-	// v3 client and a v2 client are wire-identical at 40 bytes only if the
-	// client chose the legacy layout; our encoder always extends, but a
-	// legacy body is acceptable regardless of the declared max).
-	legacy := (&Hello{MinVersion: 1, MaxVersion: 2}).Encode()
-	v3hdr := append([]byte(nil), legacy...)
-	binary.LittleEndian.PutUint16(v3hdr[6:], 3)
-	if _, err := DecodeHello(v3hdr); err != nil {
-		t.Fatalf("legacy-length v3 hello: %v", err)
-	}
-
-	// An extended body from a peer that only declares v2 is malformed.
-	v2ext := (&Hello{MinVersion: 1, MaxVersion: 3, Ticket: []byte{1}}).Encode()
-	binary.LittleEndian.PutUint16(v2ext[6:], 2)
-	if _, err := DecodeHello(v2ext); !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("extended v2 hello: got %v, want ErrBadFrame", err)
-	}
-
-	// Declared ticket length disagreeing with the body length is malformed.
-	short := (&Hello{MinVersion: 1, MaxVersion: 3, Ticket: []byte{1, 2, 3}}).Encode()
-	binary.LittleEndian.PutUint16(short[helloSize:], 9)
-	if _, err := DecodeHello(short); !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("ticket length mismatch: got %v, want ErrBadFrame", err)
-	}
-
-	// A ticket above MaxTicket is rejected before any allocation.
-	huge := (&Hello{MinVersion: 1, MaxVersion: 3, Ticket: make([]byte, 4)}).Encode()
-	binary.LittleEndian.PutUint16(huge[helloSize:], MaxTicket+1)
-	if _, err := DecodeHello(huge); !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("oversized ticket: got %v, want ErrBadFrame", err)
+func helloSamples() []Hello {
+	return []Hello{
+		{MinVersion: Version, MaxVersion: Version, Measurement: attest.Measure([]byte("client app"))},
+		{MinVersion: 1, MaxVersion: 7, Measurement: attest.Measure([]byte("client app")),
+			Ticket: []byte{0xde, 0xad, 0xbe, 0xef, 0x01}},
+		{MinVersion: 1, MaxVersion: 2},
 	}
 }
 
-func TestDecodeHelloMalformed(t *testing.T) {
-	good := (&Hello{MinVersion: 1, MaxVersion: 1}).Encode()
+// namedBody is one malformed handshake body and the typed error its
+// decoder must return; the tables below double as fuzz seeds.
+type namedBody struct {
+	name string
+	buf  []byte
+	want error
+}
+
+func helloTicketMalformed() []namedBody {
+	// The retired 40-byte layout (no ticket-length field) is no longer a
+	// Hello, whatever range it declares.
+	retired := (&Hello{MinVersion: 1, MaxVersion: 2}).Encode()[:helloSize-2]
+
+	// Declared ticket length disagreeing with the body length is malformed.
+	short := (&Hello{MinVersion: 1, MaxVersion: 3, Ticket: []byte{1, 2, 3}}).Encode()
+	binary.LittleEndian.PutUint16(short[helloSize-2:], 9)
+
+	// A ticket above MaxTicket is rejected before any allocation.
+	huge := (&Hello{MinVersion: 1, MaxVersion: 3, Ticket: make([]byte, 4)}).Encode()
+	binary.LittleEndian.PutUint16(huge[helloSize-2:], MaxTicket+1)
+
+	return []namedBody{
+		{"retired 40-byte layout", retired, ErrBadFrame},
+		{"ticket length mismatch", short, ErrBadFrame},
+		{"oversized ticket", huge, ErrBadFrame},
+	}
+}
+
+func TestDecodeHelloTicketMalformed(t *testing.T) {
+	for _, tc := range helloTicketMalformed() {
+		if _, err := DecodeHello(tc.buf); !errors.Is(err, tc.want) {
+			t.Fatalf("%s: got %v, want %v", tc.name, err, tc.want)
+		}
+	}
+}
+
+func helloMalformed() []namedBody {
+	good := (&Hello{MinVersion: 1, MaxVersion: Version}).Encode()
 
 	badMagic := append([]byte(nil), good...)
 	badMagic[0] ^= 0xff
@@ -164,18 +174,17 @@ func TestDecodeHelloMalformed(t *testing.T) {
 	binary.LittleEndian.PutUint16(inverted[4:], 5)
 	binary.LittleEndian.PutUint16(inverted[6:], 2)
 
-	cases := []struct {
-		name string
-		buf  []byte
-		want error
-	}{
+	return []namedBody{
 		{"short", good[:8], ErrBadFrame},
 		{"long", append(append([]byte(nil), good...), 0), ErrBadFrame},
 		{"bad magic", badMagic, ErrBadMagic},
 		{"zero min version", zeroMin, ErrVersion},
 		{"inverted range", inverted, ErrVersion},
 	}
-	for _, tc := range cases {
+}
+
+func TestDecodeHelloMalformed(t *testing.T) {
+	for _, tc := range helloMalformed() {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, err := DecodeHello(tc.buf); !errors.Is(err, tc.want) {
 				t.Fatalf("got %v, want %v", err, tc.want)
@@ -187,21 +196,20 @@ func TestDecodeHelloMalformed(t *testing.T) {
 func TestNegotiate(t *testing.T) {
 	cases := []struct {
 		lo, hi uint16
-		want   uint16
 		ok     bool
 	}{
-		{1, 1, 1, true},
-		{1, 7, MaxVersion, true}, // client newer: server caps at its max
-		{1, 2, 2, true},
-		{2, 2, 2, true},
-		{3, 9, 3, true},
-		{4, 9, 0, false},
-		{0, 0, 0, false},
+		{Version, Version, true},
+		{1, 7, true}, // a wider client range still contains Version
+		{3, 9, true},
+		{1, 1, false},
+		{1, 2, false}, // only the retired versions
+		{4, 9, false},
+		{0, 0, false},
 	}
 	for _, tc := range cases {
-		v, err := Negotiate(tc.lo, tc.hi)
-		if tc.ok && (err != nil || v != tc.want) {
-			t.Fatalf("Negotiate(%d,%d) = %d, %v; want %d", tc.lo, tc.hi, v, err, tc.want)
+		err := Negotiate(tc.lo, tc.hi)
+		if tc.ok && err != nil {
+			t.Fatalf("Negotiate(%d,%d) = %v; want accepted", tc.lo, tc.hi, err)
 		}
 		if !tc.ok && !errors.Is(err, ErrVersion) {
 			t.Fatalf("Negotiate(%d,%d): got %v, want ErrVersion", tc.lo, tc.hi, err)
@@ -209,42 +217,10 @@ func TestNegotiate(t *testing.T) {
 	}
 }
 
-func TestNegotiateCapped(t *testing.T) {
-	// A server capped at v1 settles a v2-capable client on v1.
-	if v, err := NegotiateCapped(1, MaxVersion, Version1); err != nil || v != Version1 {
-		t.Fatalf("capped at v1: got %d, %v", v, err)
-	}
-	// A cap above MaxVersion clamps to MaxVersion.
-	if v, err := NegotiateCapped(1, 9, 9); err != nil || v != MaxVersion {
-		t.Fatalf("cap above max: got %d, %v", v, err)
-	}
-	// A v2-only client cannot settle with a v1-capped server.
-	if _, err := NegotiateCapped(Version2, Version2, Version1); !errors.Is(err, ErrVersion) {
-		t.Fatalf("v2-only vs v1 cap: got %v, want ErrVersion", err)
-	}
-}
-
-func TestWelcomeRoundTrip(t *testing.T) {
-	for _, w := range []Welcome{
+func welcomeSamples() []Welcome {
+	return []Welcome{
 		{
-			Version:     1,
-			SessionID:   42,
-			SegmentSize: 32 << 20,
-			ChunkSize:   4 << 20,
-			MaxData:     MaxData,
-			Enclave:     attest.Measure([]byte("gpu enclave")),
-		},
-		{
-			Version:     2,
-			SessionID:   43,
-			SegmentSize: 32 << 20,
-			ChunkSize:   4 << 20,
-			MaxData:     MaxData,
-			MaxInFlight: 32,
-			Enclave:     attest.Measure([]byte("gpu enclave")),
-		},
-		{
-			Version:     3,
+			Version:     Version,
 			SessionID:   44,
 			SegmentSize: 32 << 20,
 			ChunkSize:   4 << 20,
@@ -255,7 +231,7 @@ func TestWelcomeRoundTrip(t *testing.T) {
 			Ticket:      []byte{9, 8, 7, 6, 5, 4},
 		},
 		{
-			Version:     3,
+			Version:     Version,
 			SessionID:   45,
 			SegmentSize: 32 << 20,
 			ChunkSize:   4 << 20,
@@ -263,91 +239,67 @@ func TestWelcomeRoundTrip(t *testing.T) {
 			MaxInFlight: 1,
 			Enclave:     attest.Measure([]byte("gpu enclave")),
 		},
-	} {
+	}
+}
+
+func TestWelcomeRoundTrip(t *testing.T) {
+	for _, w := range welcomeSamples() {
 		enc := w.Encode()
-		wantLen := welcomeSizeV1
-		switch {
-		case w.Version >= Version3:
-			wantLen = welcomeSizeV3 + len(w.Ticket)
-		case w.Version >= Version2:
-			wantLen = welcomeSizeV2
-		}
-		if len(enc) != wantLen {
-			t.Fatalf("v%d Welcome encodes to %d bytes, want %d", w.Version, len(enc), wantLen)
+		if len(enc) != welcomeSize+len(w.Ticket) {
+			t.Fatalf("Welcome encodes to %d bytes, want %d", len(enc), welcomeSize+len(w.Ticket))
 		}
 		got, err := DecodeWelcome(enc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Version != w.Version || got.SessionID != w.SessionID ||
-			got.SegmentSize != w.SegmentSize || got.ChunkSize != w.ChunkSize ||
-			got.MaxData != w.MaxData || got.MaxInFlight != w.MaxInFlight ||
-			got.Enclave != w.Enclave || got.Resumed != w.Resumed ||
-			!bytes.Equal(got.Ticket, w.Ticket) {
+		if !reflect.DeepEqual(got, w) {
 			t.Fatalf("got %+v, want %+v", got, w)
 		}
 	}
 }
 
-func TestDecodeWelcomeMalformed(t *testing.T) {
-	good := (&Welcome{Version: 1, MaxData: MaxData}).Encode()
-
-	badMagic := append([]byte(nil), good...)
-	badMagic[3] ^= 0x01
-
-	badVersion := append([]byte(nil), good...)
-	binary.LittleEndian.PutUint16(badVersion[4:], MaxVersion+1)
-
-	zeroData := append([]byte(nil), good...)
-	binary.LittleEndian.PutUint32(zeroData[22:], 0)
-
-	hugeData := append([]byte(nil), good...)
-	binary.LittleEndian.PutUint32(hugeData[22:], MaxData+1)
-
-	goodV2 := (&Welcome{Version: 2, MaxData: MaxData, MaxInFlight: 8}).Encode()
-
-	// Declares v2 but carries only the v1 body (MaxInFlight missing).
-	v2Short := append([]byte(nil), goodV2[:welcomeSizeV1]...)
-
-	// Declares v1 but carries the trailing v2 field.
-	v1Long := append([]byte(nil), good...)
-	v1Long = append(v1Long, 8, 0)
-
-	// v2 body advertising a zero in-flight window.
-	zeroInflight := append([]byte(nil), goodV2...)
-	binary.LittleEndian.PutUint16(zeroInflight[welcomeSizeV1:], 0)
-
-	goodV3 := (&Welcome{Version: 3, MaxData: MaxData, MaxInFlight: 8, Ticket: []byte{1, 2, 3}}).Encode()
-
-	// Declares v3 but carries only the v2 body (resumed flag + ticket missing).
-	v3Short := append([]byte(nil), goodV3[:welcomeSizeV2]...)
-
-	// v3 resumed flag outside {0,1}.
-	badResumed := append([]byte(nil), goodV3...)
-	badResumed[welcomeSizeV2] = 7
-
-	// v3 ticket length disagreeing with the body length.
-	v3LenMismatch := append([]byte(nil), goodV3...)
-	binary.LittleEndian.PutUint16(v3LenMismatch[welcomeSizeV2+1:], 200)
-
-	cases := []struct {
-		name string
-		buf  []byte
-		want error
-	}{
-		{"short", good[:10], ErrBadFrame},
-		{"bad magic", badMagic, ErrBadMagic},
-		{"bad version", badVersion, ErrVersion},
-		{"zero max data", zeroData, ErrBadFrame},
-		{"huge max data", hugeData, ErrBadFrame},
-		{"v2 without max in-flight", v2Short, ErrBadFrame},
-		{"v1 with v2 trailer", v1Long, ErrBadFrame},
-		{"v2 zero max in-flight", zeroInflight, ErrBadFrame},
-		{"v3 without ticket trailer", v3Short, ErrBadFrame},
-		{"v3 bad resumed flag", badResumed, ErrBadFrame},
-		{"v3 ticket length mismatch", v3LenMismatch, ErrBadFrame},
+func welcomeMalformed() []namedBody {
+	good := (&Welcome{Version: Version, MaxData: MaxData, MaxInFlight: 8, Ticket: []byte{1, 2, 3}}).Encode()
+	mutate := func(f func(b []byte)) []byte {
+		b := append([]byte(nil), good...)
+		f(b)
+		return b
 	}
-	for _, tc := range cases {
+	le := binary.LittleEndian
+
+	// Bodies of the two retired layouts: the v1 length (no MaxInFlight)
+	// and the v2 length (no resumed flag or ticket), each declaring
+	// either retired version.
+	v1Len, v2Len := welcomeInFlightOff, welcomeResumedOff
+	retired := func(version uint16, n int) []byte {
+		b := mutate(func(b []byte) { le.PutUint16(b[4:], version) })
+		return b[:n]
+	}
+
+	return []namedBody{
+		{"short", good[:10], ErrBadFrame},
+		{"bad magic", mutate(func(b []byte) { b[3] ^= 0x01 }), ErrBadMagic},
+		{"bad version", mutate(func(b []byte) { le.PutUint16(b[4:], Version+1) }), ErrVersion},
+		{"retired version in current layout", mutate(func(b []byte) { le.PutUint16(b[4:], 2) }), ErrVersion},
+		{"zero max data", mutate(func(b []byte) { le.PutUint32(b[22:], 0) }), ErrBadFrame},
+		{"huge max data", mutate(func(b []byte) { le.PutUint32(b[22:], MaxData+1) }), ErrBadFrame},
+		{"zero max in-flight", mutate(func(b []byte) { le.PutUint16(b[welcomeInFlightOff:], 0) }), ErrBadFrame},
+		{"v2 without max in-flight", retired(2, v1Len), ErrBadFrame},
+		{"v1 with v2 trailer", retired(1, v2Len), ErrBadFrame},
+		{"v2 zero max in-flight", func() []byte {
+			b := retired(2, v2Len)
+			le.PutUint16(b[welcomeInFlightOff:], 0)
+			return b
+		}(), ErrBadFrame},
+		{"v3 without ticket trailer", good[:v2Len], ErrBadFrame},
+		{"v3 bad resumed flag", mutate(func(b []byte) { b[welcomeResumedOff] = 7 }), ErrBadFrame},
+		{"v3 ticket length mismatch", mutate(func(b []byte) { le.PutUint16(b[welcomeSize-2:], 200) }), ErrBadFrame},
+		{"oversized ticket", mutate(func(b []byte) { le.PutUint16(b[welcomeSize-2:], MaxTicket+1) }), ErrBadFrame},
+	}
+}
+
+func TestDecodeWelcomeMalformed(t *testing.T) {
+	for _, tc := range welcomeMalformed() {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, err := DecodeWelcome(tc.buf); !errors.Is(err, tc.want) {
 				t.Fatalf("got %v, want %v", err, tc.want)
@@ -403,7 +355,7 @@ func TestFrameWriterRoundTrip(t *testing.T) {
 
 	small := []byte{1, 2, 3}
 	large := bytes.Repeat([]byte{0x5a}, MaxData) // above vectoredMin
-	if err := fw.WriteFrame(OpRequest, small); err != nil {
+	if err := fw.WriteFrame(OpError, small); err != nil {
 		t.Fatal(err)
 	}
 	if err := fw.WriteTagged(OpTRequest, 7, small); err != nil {
@@ -420,7 +372,7 @@ func TestFrameWriterRoundTrip(t *testing.T) {
 	}
 
 	op, body, err := ReadFrame(&buf)
-	if err != nil || op != OpRequest || !bytes.Equal(body, small) {
+	if err != nil || op != OpError || !bytes.Equal(body, small) {
 		t.Fatalf("frame 1: op=%v body=%d err=%v", op, len(body), err)
 	}
 	op, body, err = ReadFrame(&buf)
@@ -450,7 +402,7 @@ func TestFrameWriterRoundTrip(t *testing.T) {
 
 func TestFrameWriterRejectsBadFrames(t *testing.T) {
 	fw := NewFrameWriter(io.Discard, 0)
-	if err := fw.WriteFrame(OpData, make([]byte, MaxBody+1)); !errors.Is(err, ErrFrameTooBig) {
+	if err := fw.WriteFrame(OpError, make([]byte, MaxBody+1)); !errors.Is(err, ErrFrameTooBig) {
 		t.Fatalf("oversize: got %v", err)
 	}
 	// A tagged body at the MaxBody boundary overflows once the tag is added.
@@ -460,7 +412,10 @@ func TestFrameWriterRejectsBadFrames(t *testing.T) {
 	if err := fw.WriteFrame(0, nil); !errors.Is(err, ErrUnknownOpcode) {
 		t.Fatalf("opcode zero: got %v", err)
 	}
-	if err := fw.WriteTagged(OpData, 1, nil); !errors.Is(err, ErrBadFrame) {
+	if err := fw.WriteFrame(5, nil); !errors.Is(err, ErrUnknownOpcode) {
+		t.Fatalf("retired opcode: got %v", err)
+	}
+	if err := fw.WriteTagged(OpError, 1, nil); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("WriteTagged with untagged opcode: got %v", err)
 	}
 }
@@ -474,13 +429,13 @@ func TestFrameWriterInterleavedSizes(t *testing.T) {
 	fw := NewFrameWriter(&got, 1<<10)
 	for i, n := range sizes {
 		body := bytes.Repeat([]byte{byte(i + 1)}, n)
-		if err := fw.WriteFrame(OpData, body); err != nil {
+		if err := fw.WriteFrame(OpError, body); err != nil {
 			t.Fatal(err)
 		}
 		if err := fw.WriteTagged(OpTData, uint32(i), body); err != nil {
 			t.Fatal(err)
 		}
-		if err := WriteFrame(&want, OpData, body); err != nil {
+		if err := WriteFrame(&want, OpError, body); err != nil {
 			t.Fatal(err)
 		}
 		tagged := make([]byte, TagSize+len(body))
@@ -498,17 +453,18 @@ func TestFrameWriterInterleavedSizes(t *testing.T) {
 	}
 }
 
-func TestReadFramePooledRoundTrip(t *testing.T) {
+func TestFrameReaderRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	bodies := [][]byte{nil, {0x42}, bytes.Repeat([]byte{0xab}, MaxData)}
 	for _, body := range bodies {
-		if err := WriteFrame(&buf, OpData, body); err != nil {
+		if err := WriteFrame(&buf, OpTData, body); err != nil {
 			t.Fatal(err)
 		}
 	}
+	fr := NewFrameReader(&buf)
 	for _, body := range bodies {
-		op, pb, err := ReadFramePooled(&buf)
-		if err != nil || op != OpData {
+		op, pb, err := fr.Next()
+		if err != nil || op != OpTData {
 			t.Fatalf("op=%v err=%v", op, err)
 		}
 		if len(body) == 0 {
@@ -522,7 +478,7 @@ func TestReadFramePooledRoundTrip(t *testing.T) {
 		}
 		pb.Release()
 	}
-	if _, _, err := ReadFramePooled(&buf); err != io.EOF {
+	if _, _, err := fr.Next(); err != io.EOF {
 		t.Fatalf("got %v, want io.EOF", err)
 	}
 }
@@ -535,21 +491,22 @@ func TestBufPoolNoAliasing(t *testing.T) {
 	var buf bytes.Buffer
 	first := bytes.Repeat([]byte{0xee}, 1024)
 	second := bytes.Repeat([]byte{0x11}, 64) // shorter: would expose stale tail if length were wrong
-	if err := WriteFrame(&buf, OpData, first); err != nil {
+	if err := WriteFrame(&buf, OpTData, first); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFrame(&buf, OpData, second); err != nil {
+	if err := WriteFrame(&buf, OpTData, second); err != nil {
 		t.Fatal(err)
 	}
 
-	_, pb1, err := ReadFramePooled(&buf)
+	fr := NewFrameReader(&buf)
+	_, pb1, err := fr.Next()
 	if err != nil {
 		t.Fatal(err)
 	}
 	snapshot := append([]byte(nil), pb1.Bytes()...)
 	pb1.Release()
 
-	_, pb2, err := ReadFramePooled(&buf)
+	_, pb2, err := fr.Next()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -571,25 +528,28 @@ func TestBufPoolNoAliasing(t *testing.T) {
 
 // FuzzReadFrame asserts the strict decoder never panics and only
 // returns typed errors on arbitrary input, for both the allocating and
-// the pooled read path, including v2 tagged frames.
+// the pooled read path.
 func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(header(0, byte(OpGoodbye)))
-	f.Add(append(header(3, byte(OpData)), 1, 2, 3))
-	f.Add(header(MaxBody+1, byte(OpRequest)))
+	f.Add(append(header(3, byte(OpError)), 1, 2, 3))
+	f.Add(header(MaxBody+1, byte(OpTRequest)))
 	f.Add(header(12, 99))
-	// v2 tagged seeds: a well-formed tagged frame, a tag truncated
-	// mid-body, a tagged reply with an arbitrary (unknown) tag, and a
-	// v1/v2 mixed stream.
+	// Tagged seeds: a well-formed tagged frame, a tag truncated mid-body,
+	// a tagged reply with an arbitrary (unknown) tag, and a stream mixing
+	// a retired untagged data frame with a tagged one.
 	f.Add(append(header(TagSize+2, byte(OpTRequest)), 1, 0, 0, 0, 0xca, 0xfe))
 	f.Add(append(header(2, byte(OpTData)), 9, 9))
 	f.Add(append(header(TagSize, byte(OpTResponse)), 0xff, 0xff, 0xff, 0xff))
-	f.Add(append(append(header(1, byte(OpData)), 7), append(header(TagSize+1, byte(OpTData)), 3, 0, 0, 0, 8)...))
+	f.Add(append(append(header(1, 5), 7), append(header(TagSize+1, byte(OpTData)), 3, 0, 0, 0, 8)...))
+	// The other retired opcodes: request (3) and response (4).
+	f.Add(append(header(4, 3), 1, 2, 3, 4))
+	f.Add(header(0, 4))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		op, body, err := ReadFrame(bytes.NewReader(raw))
 
 		// The pooled reader must agree exactly with the allocating one.
-		pop, pbuf, perr := ReadFramePooled(bytes.NewReader(raw))
+		pop, pbuf, perr := NewFrameReader(bytes.NewReader(raw)).Next()
 		if (err == nil) != (perr == nil) || pop != op {
 			t.Fatalf("pooled reader diverges: (%v, %v) vs (%v, %v)", op, err, pop, perr)
 		}
@@ -615,7 +575,7 @@ func FuzzReadFrame(f *testing.F) {
 			}
 			return
 		}
-		if op == 0 || op > opMax {
+		if !op.known() {
 			t.Fatalf("accepted opcode %d", op)
 		}
 		if len(body) > MaxBody {
@@ -634,6 +594,71 @@ func FuzzReadFrame(f *testing.F) {
 		}
 		if !bytes.Equal(buf.Bytes(), raw[:buf.Len()]) {
 			t.Fatal("re-encoded frame differs from input prefix")
+		}
+	})
+}
+
+// handshakeErr reports whether err is one of the typed errors the
+// handshake decoders may return.
+func handshakeErr(err error) bool {
+	return errors.Is(err, ErrBadFrame) || errors.Is(err, ErrBadMagic) || errors.Is(err, ErrVersion)
+}
+
+// FuzzDecodeHello: arbitrary bodies never panic and fail typed; an
+// accepted body is exactly the encoding of what it decoded to.
+func FuzzDecodeHello(f *testing.F) {
+	for _, h := range helloSamples() {
+		f.Add(h.Encode())
+	}
+	for _, tc := range append(helloMalformed(), helloTicketMalformed()...) {
+		f.Add(tc.buf)
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		h, err := DecodeHello(raw)
+		if err != nil {
+			if !handshakeErr(err) {
+				t.Fatalf("untyped error: %v", err)
+			}
+			return
+		}
+		if len(h.Ticket) > MaxTicket {
+			t.Fatalf("accepted %d-byte ticket", len(h.Ticket))
+		}
+		if !bytes.Equal(h.Encode(), raw) {
+			t.Fatal("re-encoded hello differs from input")
+		}
+		back, err := DecodeHello(h.Encode())
+		if err != nil || !reflect.DeepEqual(back, h) {
+			t.Fatalf("Decode(Encode(x)) = %+v, %v; want %+v", back, err, h)
+		}
+	})
+}
+
+// FuzzDecodeWelcome is FuzzDecodeHello for the server's half.
+func FuzzDecodeWelcome(f *testing.F) {
+	for _, w := range welcomeSamples() {
+		f.Add(w.Encode())
+	}
+	for _, tc := range welcomeMalformed() {
+		f.Add(tc.buf)
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		w, err := DecodeWelcome(raw)
+		if err != nil {
+			if !handshakeErr(err) {
+				t.Fatalf("untyped error: %v", err)
+			}
+			return
+		}
+		if w.Version != Version || w.MaxInFlight == 0 || w.MaxData == 0 || w.MaxData > MaxData || len(w.Ticket) > MaxTicket {
+			t.Fatalf("accepted out-of-range welcome %+v", w)
+		}
+		if !bytes.Equal(w.Encode(), raw) {
+			t.Fatal("re-encoded welcome differs from input")
+		}
+		back, err := DecodeWelcome(w.Encode())
+		if err != nil || !reflect.DeepEqual(back, w) {
+			t.Fatalf("Decode(Encode(x)) = %+v, %v; want %+v", back, err, w)
 		}
 	})
 }

@@ -6,7 +6,7 @@
 # experiments via hixbench), BENCH_pr3.json (network serving layer:
 # remote-vs-in-process identity gate + loopback connection sweep),
 # BENCH_pr4.json (seeded chaos sweep + reconnect gate),
-# BENCH_pr5.json (wire v2 pipelining: transport identity gate +
+# BENCH_pr5.json (wire pipelining: window identity gate +
 # in-flight depth sweep with the 1.5x depth-8 throughput gate), and
 # BENCH_pr7.json (continuous batching + QoS: identity, throughput,
 # fairness gates), and BENCH_pr8.json (GPU partitioning + fleet:
@@ -34,6 +34,9 @@ done
 
 echo "== go vet =="
 go vet ./...
+# benchmark/ is its own module, so ./... above never compiles it; vet
+# type-checks it (and its tests) against this tree's internal API.
+(cd benchmark && go vet ./...)
 
 echo "== go build =="
 go build ./...
@@ -56,7 +59,7 @@ go test -race -count=1 ./internal/sched/
 go test -race -count=1 ./internal/part/
 go test -race -count=1 ./internal/bench/hist/
 go test -race -count=1 ./internal/hixrt/ \
-	-run 'Windowed|Undersized|Concurrent|Tamper|Replay|MultiChunk|Isolation|Determinism|TestPipe|TestLoad'
+	-run 'Windowed|Undersized|Concurrent|Tamper|Replay|MultiChunk|Isolation|Determinism|TestPipe|TestRemoteDesync|TestDial|TestLoad'
 go test -race -count=1 ./internal/wire/
 go test -race -count=1 ./internal/faults/
 go test -race -count=1 -timeout 15m ./internal/netserve/ \
@@ -105,7 +108,7 @@ go run ./cmd/hixbench -exp netserve -json BENCH_pr3.json
 echo "== chaos sweep + reconnect gate -> BENCH_pr4.json =="
 go run ./cmd/hixbench -exp faults -json BENCH_pr4.json
 
-echo "== wire v2 pipelining -> BENCH_pr5.json =="
+echo "== wire pipelining -> BENCH_pr5.json =="
 go run ./cmd/hixbench -exp pipeline -json BENCH_pr5.json
 
 echo "== continuous batching + QoS -> BENCH_pr7.json =="
